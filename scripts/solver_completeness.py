@@ -20,7 +20,6 @@ def main():
     ap.add_argument("--seeds", type=int, default=50)
     ap.add_argument("--c", type=float, default=0.1)
     ap.add_argument("--epsilon", type=float, default=0.3)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     print(f"{'d':>3} {'m':>4} {'found':>9} {'rate':>6} {'1-2/d':>6} {'sec/run':>8}")
@@ -30,7 +29,7 @@ def main():
         t0 = time.time()
         for seed in range(args.seeds):
             inst, _ = gen_planted(d, k, seed=seed)
-            out = solve(inst, args.c, args.epsilon, seed=seed, threads=args.threads)
+            out = solve(inst, args.c, args.epsilon, seed=seed)
             if out.found:
                 assert check_subset(inst, out.subset, args.c, args.epsilon).satisfies_eq2
                 found += 1

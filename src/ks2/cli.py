@@ -208,7 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="constant in the sparsifier size bound n")
     s.add_argument("--n-override", type=int)
     s.add_argument("--max-level-size", type=int)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=int, default=1,
+                   help="ignored; each level is processed by batched kernels in one thread")
     s.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
     s.add_argument("--subset-out")
     s.set_defaults(func=_cmd_solve)

@@ -66,6 +66,15 @@ class Instance:
             rows = self.vectors[idx]
         return SymMatrix(rows.T @ rows)
 
+    def grams(self, members: np.ndarray) -> np.ndarray:
+        """Stack of A_S, one per row of a bool (L, m) membership matrix.
+
+        One batched product over masked copies of the vectors; the rows
+        left out contribute exact zeros, so each matrix equals gram(S).a.
+        """
+        v = self.vectors
+        return (members[:, :, None] * v).transpose(0, 2, 1) @ v
+
     def isotropy_deviation(self) -> float:
         """||sum v v^T - I|| in spectral norm."""
         g = self.gram().a - np.eye(self.dim)

@@ -110,6 +110,19 @@ def spd_solve(m: SymMatrix, shift: float, v: np.ndarray) -> np.ndarray:
         raise SingularSystem(f"Cholesky failed: {exc}") from exc
 
 
+def spd_solve_stack(stack: np.ndarray, shift: float, v: np.ndarray) -> np.ndarray:
+    """spd_solve for every matrix of an (L, d, d) stack against one vector v.
+
+    Returns the (L, d) solutions, each bit-identical to spd_solve on its
+    matrix; a failed factorization of any matrix raises SingularSystem.
+    """
+    shifted = stack + shift * np.eye(stack.shape[-1])
+    try:
+        return sla.solve(shifted, v, assume_a="pos", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"Cholesky failed: {exc}") from exc
+
+
 def inv_sqrt(m: SymMatrix, tols: Tolerances = DEFAULT_TOLS) -> SymMatrix:
     """Inverse square root N of an SPD matrix, so that N M N = I."""
     w, q = np.linalg.eigh(m.a)

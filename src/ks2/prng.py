@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import struct
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _KEY_DOMAIN = 0x8AC7230489E80000  # arbitrary non-zero domain constant
@@ -33,12 +35,26 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def mix64_array(z) -> np.ndarray:
+    """mix64 over a uint64 array; integer products wrap mod 2^64 as in mix64."""
+    z = np.asarray(z, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def derive_key(seed: int, *path: int) -> int:
     """Fold (seed, *path) into a 64-bit stream key."""
     h = mix64((seed & _MASK) ^ _KEY_DOMAIN)
     for t in path:
         h = mix64(h ^ mix64(t & _MASK))
     return h
+
+
+def first_uniforms(seed: int, path: tuple[int, ...], last) -> np.ndarray:
+    """Stream(derive_key(seed, *path, x)).uniform() for every x of a uint64 array."""
+    keys = mix64_array(np.uint64(derive_key(seed, *path)) ^ mix64_array(last))
+    return (mix64_array(keys + np.uint64(_GAMMA)) >> np.uint64(11)) * 2.0**-53
 
 
 def float_bits(x: float) -> int:

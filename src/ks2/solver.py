@@ -11,15 +11,28 @@ children are inserted into the next level:
   - on a skip:   only (S', old state).
 
 Entries whose sparsifier already holds more than n sampled vectors are
-dropped (size filter), and entries with identical ledgers are merged keeping
-the first representative.  Any subset returned has been re-checked from
+dropped (size filter).  Any subset returned has been re-checked from
 scratch, so a "found" outcome is sound unconditionally; "not found" can be
 wrong only when a valid subset exists and every sampling path missed it.
+
+A level is stored as arrays in entry order: a bool membership matrix
+(L, m), the sparsifier sums B (L, d, d), the sample counts and the ledger
+hashes.  Each level makes one batched gate eigensolve, one batched shifted
+solve for the sampling probabilities and one vectorised draw, only for
+entries with 0 < p < 1 (a draw cannot change a keep at p = 1).  Every step
+is bit-identical to the per-entry path through sparsifier.observe, which
+tests/reference_solver.py keeps as the reference solver.
+
+No two entries of a level ever hold the same ledger, so paths never need
+merging.  By induction: L_0 holds one ledger; each entry passes its ledger
+L_j unchanged to exactly one child, and a keep adds L_j + ((i, w),), the
+only kind of ledger that contains index i, distinct for distinct L_j; the
+size filter only removes entries.  SolveStats.dedup_hits is kept in the
+output and always reads 0.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +41,7 @@ import numpy as np
 from . import prng
 from .errors import InfeasibleParameters, InternalInvariantError, ResourceExhausted
 from .instance import Instance, SubsetReport, check_subset, validate
-from .sparsifier import SparsifierState, new_state, observe
+from .sparsifier import fold_ledger_hashes, new_state, stack_probabilities
 
 DEFAULT_LEVEL_CONSTANT = 40.0
 
@@ -82,14 +95,6 @@ def derive_params(inst: Instance, c: float, epsilon: float,
                         level_constant=level_constant)
 
 
-@dataclass(frozen=True)
-class LevelEntry:
-    """A representative subset paired with the sparsifier state for its path."""
-
-    subset: tuple[int, ...]
-    state: SparsifierState
-
-
 @dataclass
 class SolveStats:
     levels_processed: int = 0
@@ -128,31 +133,6 @@ class SolveOutcome:
         }
 
 
-def _process_entry(inst, entry: LevelEntry, i: int, lo_bound: float, hi_bound: float,
-                   seed: int, force_sample: bool):
-    """Gate S + {i}; if it fails, observe v_i and emit the child entries.
-
-    The gate computes the eigenvalue extremes of A_{S'} from scratch (same
-    arithmetic as check_subset, minus argument validation) and compares them
-    exactly against the precomputed band.
-    """
-    grown = entry.subset + (i,)
-    rows = inst.vectors[list(grown)]
-    eig = np.linalg.eigvalsh(rows.T @ rows)
-    if lo_bound <= eig[0] and eig[-1] <= hi_bound:
-        return grown, None
-    if force_sample:
-        u = 0.0
-    else:
-        u = prng.Stream(prng.derive_key(seed, prng.TAG_SOLVER, i, entry.state.ledger_hash)).uniform()
-    state, sampled = observe(entry.state, i, inst.vectors[i], u)
-    if sampled:
-        children = [LevelEntry(entry.subset, entry.state), LevelEntry(grown, state)]
-    else:
-        children = [LevelEntry(grown, entry.state)]
-    return None, children
-
-
 def solve(inst: Instance, c: float, epsilon: float, seed: int,
           params_override: Optional[SolverParams] = None,
           force_sample: bool = False,
@@ -162,9 +142,8 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
 
     force_sample pins every uniform draw to 0 so all paths keep every vector
     (the brute-force equivalence harness); collect_subsets records the final
-    level's representative subsets.  With threads > 1, entries within a level
-    are processed concurrently; per-path keyed randomness keeps the outcome
-    identical to the sequential run.
+    level's representative subsets.  threads is accepted and ignored: each
+    level is processed by batched kernels in the calling thread.
     """
     if not inst.validated:
         inst = validate(inst)
@@ -172,58 +151,60 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
     c, epsilon = params.c, params.epsilon  # override wins when both are given
     n_cap = params.effective_n
     m = inst.num_vectors
-    stats = SolveStats()
+    stats = SolveStats(peak_level_size=1)
     ca = c * math.sqrt(inst.alpha)
     lo_bound = (1.0 - epsilon) * (0.5 - ca)
     hi_bound = (1.0 + epsilon) * (0.5 + ca)
 
-    level: list[LevelEntry] = [LevelEntry((), new_state(inst.dim, params.mu, params.delta))]
-    stats.peak_level_size = 1
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for i in range(m):
-            survivors = [e for e in level if e.state.sample_count <= n_cap]
-            stats.size_filtered += len(level) - len(survivors)
-            stats.levels_processed += 1
+    root = new_state(inst.dim, params.mu, params.delta)
+    members = np.zeros((1, m), dtype=bool)
+    sums = root.b.a[None]
+    counts = np.zeros(1, dtype=np.int64)
+    hashes = np.array([root.ledger_hash], dtype=np.uint64)
+    for i in range(m):
+        alive = counts <= n_cap
+        stats.size_filtered += int(np.count_nonzero(~alive))
+        members, sums, counts, hashes = members[alive], sums[alive], counts[alive], hashes[alive]
+        stats.levels_processed += 1
 
-            def work(entry, _i=i):
-                return _process_entry(inst, entry, _i, lo_bound, hi_bound, seed, force_sample)
+        grown = members.copy()
+        grown[:, i] = True
+        eig = np.linalg.eigvalsh(inst.grams(grown))
+        hits = np.flatnonzero((lo_bound <= eig[:, 0]) & (eig[:, -1] <= hi_bound))
+        if hits.size:  # earliest gate hit in entry order wins
+            hit = tuple(np.flatnonzero(grown[hits[0]]).tolist())
+            report = check_subset(inst, hit, c, epsilon)
+            if not report.satisfies_eq2:
+                raise InternalInvariantError(
+                    f"gated subset {hit} fails the band on independent recheck")
+            return SolveOutcome("found", report.subset, report, stats)
 
-            if pool is not None:
-                results = list(pool.map(work, survivors))
-            else:
-                results = [work(e) for e in survivors]
+        v = inst.vectors[i]
+        p = stack_probabilities(sums, root.mu, root.shift, v)
+        kept = p > 0.0 if force_sample else p >= 1.0
+        if not force_sample:
+            part = np.flatnonzero((p > 0.0) & (p < 1.0))
+            kept[part] = prng.first_uniforms(seed, (prng.TAG_SOLVER, i), hashes[part]) <= p[part]
+        weights = 1.0 / p[kept]
 
-            # Earliest gate hit in entry order wins (deterministic across thread counts).
-            for hit, _ in results:
-                if hit is not None:
-                    report = check_subset(inst, hit, c, epsilon)
-                    if not report.satisfies_eq2:
-                        raise InternalInvariantError(
-                            f"gated subset {hit} fails the band on independent recheck")
-                    return SolveOutcome("found", report.subset, report, stats)
+        # Children in entry order: a keep emits (S, old) then (S', new), a
+        # skip emits (S', old); either way S' is the entry's last child.
+        parent = np.repeat(np.arange(len(p)), 1 + kept)
+        last = np.cumsum(1 + kept) - 1
+        fresh = last[kept]
+        members, sums, counts, hashes = members[parent], sums[parent], counts[parent], hashes[parent]
+        members[last, i] = True
+        sums[fresh] += weights[:, None, None] * np.outer(v, v)
+        counts[fresh] += 1
+        hashes[fresh] = fold_ledger_hashes(hashes[fresh], i, weights)
 
-            next_level: list[LevelEntry] = []
-            seen: dict[tuple, int] = {}
-            for _, children in results:
-                for child in children:
-                    key = child.state.ledger
-                    if key in seen:
-                        stats.dedup_hits += 1
-                        continue
-                    seen[key] = len(next_level)
-                    next_level.append(child)
-            level = next_level
-            stats.peak_level_size = max(stats.peak_level_size, len(level))
-            if params.max_level_size is not None and len(level) > params.max_level_size:
-                raise ResourceExhausted(
-                    f"level {i + 1} holds {len(level)} entries > cap {params.max_level_size}",
-                    stats=stats)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        stats.peak_level_size = max(stats.peak_level_size, len(parent))
+        if params.max_level_size is not None and len(parent) > params.max_level_size:
+            raise ResourceExhausted(
+                f"level {i + 1} holds {len(parent)} entries > cap {params.max_level_size}",
+                stats=stats)
 
-    final = [e.subset for e in level] if collect_subsets else None
+    final = [tuple(np.flatnonzero(row).tolist()) for row in members] if collect_subsets else None
     return SolveOutcome("not-found", None, None, stats, final_subsets=final)
 
 

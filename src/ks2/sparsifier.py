@@ -20,7 +20,7 @@ import numpy as np
 
 from . import prng
 from .errors import BadParams, DegenerateDimension, InvalidVector
-from .linalg import SymMatrix, spd_solve
+from .linalg import SymMatrix, spd_solve, spd_solve_stack
 
 # Root value for the incremental ledger hash of an empty ledger.
 EMPTY_LEDGER_HASH = prng.mix64(0x4B53325F4C454447)
@@ -84,6 +84,27 @@ def sample_probability(state: SparsifierState, v) -> float:
     b = 8.0 * math.log(d) / state.mu**2
     quad = float(v @ spd_solve(state.b, state.shift, v))
     return min(b * (1.0 + state.mu) * quad, 1.0)
+
+
+def stack_probabilities(sums: np.ndarray, mu: float, shift: float, v: np.ndarray) -> np.ndarray:
+    """sample_probability for every sum B of an (L, d, d) stack sharing mu and shift.
+
+    One batched shifted solve; each value is bit-identical to
+    sample_probability on a state holding that B.  Like that function, it
+    raises on d = 1 only when some probability is asked for.
+    """
+    d = sums.shape[-1]
+    if d < 2 and len(sums):
+        raise DegenerateDimension("sampling budget b = 8 ln(d)/mu^2 vanishes for d = 1")
+    b = 8.0 * math.log(d) / mu**2
+    quad = np.vecdot(v, spd_solve_stack(sums, shift, v))
+    return np.minimum(b * (1.0 + mu) * quad, 1.0)
+
+
+def fold_ledger_hashes(hashes: np.ndarray, idx: int, weights: np.ndarray) -> np.ndarray:
+    """The ledger_hash update of observe for one index, over uint64 hashes and weights."""
+    h = prng.mix64_array(hashes ^ np.uint64(prng.mix64(idx)))
+    return prng.mix64_array(h ^ prng.mix64_array(weights.view(np.uint64)))
 
 
 def observe(state: SparsifierState, idx: int, v, u: float) -> tuple[SparsifierState, bool]:

@@ -1,0 +1,102 @@
+"""Per-entry reference for ks2.solver.solve (test-only).
+
+This is the solver as it was before levels became arrays: one Python
+object per level entry, one gate eigensolve and one sparsifier.observe call
+per entry, and an explicit dedup pass on ledger tuples.  The tests compare
+the batched solver against it outcome for outcome, stats included.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from ks2 import prng
+from ks2.errors import InternalInvariantError, ResourceExhausted
+from ks2.instance import Instance, check_subset, validate
+from ks2.solver import SolveOutcome, SolverParams, SolveStats, derive_params
+from ks2.sparsifier import SparsifierState, new_state, observe
+
+
+@dataclass(frozen=True)
+class LevelEntry:
+    """A representative subset paired with the sparsifier state for its path."""
+
+    subset: tuple[int, ...]
+    state: SparsifierState
+
+
+def _process_entry(inst, entry: LevelEntry, i: int, lo_bound: float, hi_bound: float,
+                   seed: int, force_sample: bool):
+    """Gate S + {i}; if it fails, observe v_i and emit the child entries."""
+    grown = entry.subset + (i,)
+    rows = inst.vectors[list(grown)]
+    eig = np.linalg.eigvalsh(rows.T @ rows)
+    if lo_bound <= eig[0] and eig[-1] <= hi_bound:
+        return grown, None
+    if force_sample:
+        u = 0.0
+    else:
+        u = prng.Stream(prng.derive_key(seed, prng.TAG_SOLVER, i, entry.state.ledger_hash)).uniform()
+    state, sampled = observe(entry.state, i, inst.vectors[i], u)
+    if sampled:
+        children = [LevelEntry(entry.subset, entry.state), LevelEntry(grown, state)]
+    else:
+        children = [LevelEntry(grown, entry.state)]
+    return None, children
+
+
+def reference_solve(inst: Instance, c: float, epsilon: float, seed: int,
+                    params_override: Optional[SolverParams] = None,
+                    force_sample: bool = False,
+                    collect_subsets: bool = False) -> SolveOutcome:
+    """Same contract as ks2.solver.solve, one entry at a time."""
+    if not inst.validated:
+        inst = validate(inst)
+    params = params_override if params_override is not None else derive_params(inst, c, epsilon)
+    c, epsilon = params.c, params.epsilon
+    n_cap = params.effective_n
+    m = inst.num_vectors
+    stats = SolveStats()
+    ca = c * math.sqrt(inst.alpha)
+    lo_bound = (1.0 - epsilon) * (0.5 - ca)
+    hi_bound = (1.0 + epsilon) * (0.5 + ca)
+
+    level = [LevelEntry((), new_state(inst.dim, params.mu, params.delta))]
+    stats.peak_level_size = 1
+    for i in range(m):
+        survivors = [e for e in level if e.state.sample_count <= n_cap]
+        stats.size_filtered += len(level) - len(survivors)
+        stats.levels_processed += 1
+        results = [_process_entry(inst, e, i, lo_bound, hi_bound, seed, force_sample)
+                   for e in survivors]
+
+        for hit, _ in results:  # earliest gate hit in entry order wins
+            if hit is not None:
+                report = check_subset(inst, hit, c, epsilon)
+                if not report.satisfies_eq2:
+                    raise InternalInvariantError(
+                        f"gated subset {hit} fails the band on independent recheck")
+                return SolveOutcome("found", report.subset, report, stats)
+
+        next_level: list[LevelEntry] = []
+        seen: dict[tuple, int] = {}
+        for _, children in results:
+            for child in children:
+                key = child.state.ledger
+                if key in seen:
+                    stats.dedup_hits += 1
+                    continue
+                seen[key] = len(next_level)
+                next_level.append(child)
+        level = next_level
+        stats.peak_level_size = max(stats.peak_level_size, len(level))
+        if params.max_level_size is not None and len(level) > params.max_level_size:
+            raise ResourceExhausted(
+                f"level {i + 1} holds {len(level)} entries > cap {params.max_level_size}",
+                stats=stats)
+
+    final = [e.subset for e in level] if collect_subsets else None
+    return SolveOutcome("not-found", None, None, stats, final_subsets=final)

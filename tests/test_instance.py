@@ -42,6 +42,24 @@ class TestValidate:
             Instance(np.zeros((0, 3)))
 
 
+class TestGrams:
+    def test_masked_stack_equals_gram(self):
+        # The solver gate reads eigenvalues off this stack; both the matrices
+        # and their stacked eigvalsh must match the per-subset path bit for bit.
+        for d, m, seed in [(2, 10, 5), (3, 40, 3), (5, 16, 0), (8, 20, 1)]:
+            inst = gen_random(d, m, seed=seed)
+            subsets = [[], list(range(m))] + [random_subset(m, seed * 1000 + k) for k in range(200)]
+            members = np.zeros((len(subsets), m), dtype=bool)
+            for row, s in zip(members, subsets):
+                row[s] = True
+            stack = inst.grams(members)
+            eig = np.linalg.eigvalsh(stack)
+            for s, a, w in zip(subsets, stack, eig):
+                want = inst.gram(s).a
+                assert np.array_equal(a, want)
+                assert np.array_equal(w, np.linalg.eigvalsh(want))
+
+
 class TestCheckSubset:
     def test_half_split_satisfies_exact_band(self, axis_pairs_d2):
         rep = check_subset(axis_pairs_d2, [0, 2], 0.1, 0.0)

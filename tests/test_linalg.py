@@ -15,6 +15,7 @@ from ks2.linalg import (
     inv_sqrt,
     psd_sandwich_check,
     spd_solve,
+    spd_solve_stack,
     spectral_distance_half,
 )
 from ks2.reduction import F_SAT3, ks_form_to_instance
@@ -96,6 +97,25 @@ class TestSpdSolve:
                 assert res <= 1e-9 * max(np.linalg.norm(v), 1e-30)
                 count += 1
         assert count == 1000
+
+
+class TestSpdSolveStack:
+    def test_bit_identical_to_spd_solve(self):
+        # Zero matrices included: the solver's first level holds B = 0.
+        for d in (2, 3, 5, 10):
+            stack = np.array([random_spd(d, seed) * (seed % 3) for seed in range(60)])
+            v = random_symmetric(d, d)[0]
+            got = spd_solve_stack(stack, 0.03, v)
+            quads = np.vecdot(v, got)
+            for a, w, q in zip(stack, got, quads):
+                want = spd_solve(SymMatrix(a), 0.03, v)
+                assert np.array_equal(w, want)
+                assert q == float(v @ want)
+
+    def test_failed_factorization_raises(self):
+        stack = np.array([np.eye(3), -np.eye(3)])
+        with pytest.raises(SingularSystem):
+            spd_solve_stack(stack, 0.0, np.ones(3))
 
 
 class TestInvSqrt:

@@ -1,12 +1,15 @@
 """End-to-end runs through the installed `ks` executable and across modules."""
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ks2
 from ks2 import check_subset, load_instance, load_subset, solve
 from ks2.oracle import brute_force_w
 from ks2.reduction import F_SAT3, emit_dimacs
@@ -20,7 +23,12 @@ def ks_cmd():
 
 
 def run_ks(*args):
-    proc = subprocess.run(ks_cmd() + list(args), capture_output=True, text=True)
+    # The child must import the ks2 this process imported, also when that
+    # comes from the pytest pythonpath setting rather than an install.
+    src = str(Path(ks2.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(ks_cmd() + list(args), capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     out = json.loads(proc.stdout) if proc.stdout.strip() else None
     return proc.returncode, out, proc.stderr
 

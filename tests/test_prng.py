@@ -3,7 +3,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ks2.prng import Stream, derive_key, float_bits, mix64
+import numpy as np
+
+from ks2.prng import Stream, derive_key, first_uniforms, float_bits, mix64, mix64_array
 
 
 def test_mix64_known_values_stable():
@@ -12,6 +14,18 @@ def test_mix64_known_values_stable():
     assert mix64(0) == 0
     assert mix64(1) == 6238072747940578789
     assert mix64(0x9E3779B97F4A7C15) == 16294208416658607535
+
+
+def test_mix64_array_matches_scalar():
+    zs = [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15] + [mix64(k) for k in range(200)]
+    got = mix64_array(np.array(zs, dtype=np.uint64))
+    assert [int(z) for z in got] == [mix64(z) for z in zs]
+
+
+def test_first_uniforms_match_streams():
+    last = [0, 2**64 - 1] + [mix64(k) for k in range(200)]
+    got = first_uniforms(42, (3, 7), np.array(last, dtype=np.uint64))
+    assert got.tolist() == [Stream(derive_key(42, 3, 7, x)).uniform() for x in last]
 
 
 def test_streams_are_deterministic():

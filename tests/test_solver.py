@@ -2,13 +2,15 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from ks2 import check_subset, gen_planted
+from ks2 import Instance, check_subset, gen_planted, gen_random, validate
 from ks2.errors import InfeasibleParameters, ResourceExhausted
 from ks2.solver import derive_params, solve, verify_outcome
 
 from conftest import stress_instance
+from reference_solver import reference_solve
 
 
 class TestDeriveParams:
@@ -118,3 +120,59 @@ class TestSolve:
         assert d["status"] == "found"
         assert isinstance(d["stats"]["levels_processed"], int)
         assert d["lambda_min"] is not None
+
+
+def _with(inst, c, epsilon, **changes):
+    return dataclasses.replace(derive_params(inst, c, epsilon), **changes)
+
+
+def _power_set_case(pairs):
+    inst = stress_instance(pairs)
+    return inst, dict(params_override=_with(inst, 0.1, 0.1, n_override=inst.num_vectors + 1),
+                      force_sample=True)
+
+
+def _d1_case():
+    # v_0^2 = 0.09 sits below the band, so level 0 misses the gate and the
+    # sparsifier is asked for a probability at d = 1.
+    inst = validate(Instance(np.array([[0.3], [np.sqrt(0.91)]])))
+    return inst, {}
+
+
+REFERENCE_CASES = {
+    "planted-d5-k8": (lambda: (gen_planted(5, 8, seed=0)[0], {}), 0.1, 0.3, 0),
+    "stress-1": (lambda: (stress_instance(1), {}), 0.1, 0.1, 4),
+    "stress-2": (lambda: (stress_instance(2), {}), 0.1, 0.1, 5),
+    "power-set-1": (lambda: _power_set_case(1), 0.1, 0.1, 0),
+    "power-set-2": (lambda: _power_set_case(2), 0.1, 0.1, 0),
+    "n-override-0": (lambda: (stress_instance(2), dict(
+        params_override=_with(stress_instance(2), 0.1, 0.1, n_override=0))), 0.1, 0.1, 2),
+    "level-cap-4": (lambda: (stress_instance(2), dict(
+        params_override=_with(stress_instance(2), 0.1, 0.1, max_level_size=4))), 0.1, 0.1, 1),
+    "d1-degenerate": (_d1_case, 0.1, 0.3, 0),
+    # mu = 1 leaves about a third of the sampling probabilities below 1.
+    "unsaturated-mu1": (lambda: (gen_random(3, 40, seed=3), dict(
+        params_override=_with(gen_random(3, 40, seed=3), 0.1, 0.3, mu=1.0,
+                              max_level_size=20000))), 0.1, 0.3, 3),
+}
+
+
+def _record(fn, inst, c, epsilon, seed, kwargs):
+    try:
+        out = fn(inst, c, epsilon, seed, collect_subsets=True, **kwargs)
+    except Exception as exc:
+        stats = getattr(exc, "stats", None)
+        return ("raised", type(exc), str(exc), stats.to_dict() if stats else None)
+    return ("returned", out.to_dict(), out.report, out.final_subsets)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_matches_per_entry_reference(case):
+    build, c, epsilon, seed = REFERENCE_CASES[case]
+    inst, kwargs = build()
+    got = _record(solve, inst, c, epsilon, seed, kwargs)
+    assert got == _record(reference_solve, inst, c, epsilon, seed, kwargs)
+    if case == "d1-degenerate":
+        assert got[1].__name__ == "DegenerateDimension"
+    if case == "unsaturated-mu1":
+        assert got[1] is ResourceExhausted

@@ -7,7 +7,14 @@ from ks2 import gen_random
 from ks2.errors import BadParams, DegenerateDimension, InvalidVector
 from ks2.linalg import SymMatrix, psd_sandwich_check
 from ks2.prng import Stream, derive_key
-from ks2.sparsifier import new_state, observe, recompute_sum, sample_probability
+from ks2.sparsifier import (
+    fold_ledger_hashes,
+    new_state,
+    observe,
+    recompute_sum,
+    sample_probability,
+    stack_probabilities,
+)
 
 
 class TestNewState:
@@ -109,6 +116,40 @@ class TestObserve:
         assert np.array_equal(s1.b.a, s2.b.a)
         assert s1.ledger == s2.ledger
         assert s1.ledger_hash == s2.ledger_hash
+
+
+class TestStackKernels:
+    @staticmethod
+    def _states():
+        # A path through 119 vectors in d=3 whose later draws have p < 1.
+        inst = gen_random(3, 120, seed=9)
+        st = new_state(3, 1.0, 0.05)
+        u = Stream(derive_key(9, 3000))
+        states = [st]
+        for i in range(119):
+            st, _ = observe(st, i, inst.vectors[i], u.uniform())
+            states.append(st)
+        return states, inst.vectors[119]
+
+    def test_probabilities_match_sample_probability(self):
+        states, v = self._states()
+        sums = np.array([s.b.a for s in states])
+        got = stack_probabilities(sums, states[0].mu, states[0].shift, v)
+        want = [sample_probability(s, v) for s in states]
+        assert got.tolist() == want
+        assert min(want) < 1.0 == max(want)
+
+    def test_fold_matches_observe(self):
+        states, v = self._states()
+        grown = [observe(s, 119, v, 0.0)[0] for s in states]
+        got = fold_ledger_hashes(np.array([s.ledger_hash for s in states], dtype=np.uint64),
+                                 119, np.array([g.ledger[-1][1] for g in grown]))
+        assert [int(h) for h in got] == [g.ledger_hash for g in grown]
+
+    def test_degenerate_dimension_only_when_asked(self):
+        with pytest.raises(DegenerateDimension):
+            stack_probabilities(np.zeros((1, 1, 1)), 1.0, 1.0, np.array([1.0]))
+        assert stack_probabilities(np.zeros((0, 1, 1)), 1.0, 1.0, np.array([1.0])).size == 0
 
 
 def test_sandwich_statistics_smoke():
