@@ -9,7 +9,12 @@ violation witness at least 1/(8*sqrt(2)) away from 1/2.
 """
 import argparse
 import math
+import sys
 import time
+from pathlib import Path
+
+# Import ks2 from the checkout's src/ directory, not an installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ks2.oracle import branch_bound_w
 from ks2.prng import Stream, derive_key, TAG_SUBSET

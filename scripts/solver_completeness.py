@@ -6,7 +6,12 @@ would find a band member every time; the theory promises a find rate of at
 least 1 - 2/d.  Prints the rate and timing per configuration.
 """
 import argparse
+import sys
 import time
+from pathlib import Path
+
+# Import ks2 from the checkout's src/ directory, not an installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ks2.instance import gen_planted
 from ks2.solver import solve

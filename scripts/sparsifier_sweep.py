@@ -7,6 +7,11 @@ holds, alongside the observed sample counts.  The guarantee is a success
 probability of at least 1 - 1/d.
 """
 import argparse
+import sys
+from pathlib import Path
+
+# Import ks2 from the checkout's src/ directory, not an installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ks2.instance import gen_random
 from ks2.linalg import SymMatrix, psd_sandwich_check

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import oracle as oracle_mod
 from . import reduction, solver
-from .errors import InternalInvariantError, KsError, ResourceExhausted
+from .errors import InternalInvariantError, KsError, ResourceExhausted, TooLarge
 from .instance import (
     gen_planted,
     gen_random,
@@ -80,20 +79,13 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = _load_validated(args.instance, args.iso_tol)
     if args.mode == "branch-bound":
-        res = oracle_mod.branch_bound_w(inst)
-        if args.c is not None:
-            feasible = res.w_value <= args.c * math.sqrt(inst.alpha)
-            res = oracle_mod.OracleResult(res.w_value, res.argmin_subset,
-                                          res.subsets_examined, feasible_eq1=feasible, c=args.c)
-    elif args.c is not None:
-        res = oracle_mod.eq1_feasible_result(inst, args.c, m_limit=args.m_limit,
-                                             threads=args.threads)
+        res = oracle_mod.branch_bound_w(inst, node_limit=args.node_limit)
     else:
         res = oracle_mod.brute_force_w(inst, m_limit=args.m_limit, threads=args.threads)
+    if args.c is not None:
+        res = oracle_mod.with_threshold(inst, res, args.c)
     _emit(res.to_dict())
-    if res.feasible_eq1 is False:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return EXIT_NEGATIVE if res.feasible_eq1 is False else EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
@@ -220,6 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--m-limit", type=int, default=oracle_mod.DEFAULT_M_LIMIT)
     o.add_argument("--threads", type=int, default=1)
     o.add_argument("--mode", choices=["exhaustive", "branch-bound"], default="exhaustive")
+    o.add_argument("--node-limit", type=int, help="branch-bound: stop after this many nodes")
     o.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
     o.set_defaults(func=_cmd_oracle)
 
@@ -259,6 +252,10 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except TooLarge as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        _emit({"error": "too-large", "message": str(exc)})
+        return EXIT_USAGE
     except ResourceExhausted as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         if exc.stats is not None:

@@ -11,24 +11,37 @@ A branch-and-bound variant prunes a partial choice over indices < i when
 even the best completion cannot beat the incumbent: any completion A_S
 satisfies P <= A_S <= P + R_i (P = partial sum, R_i = mass of undecided
 vectors), so its deviation is at least
-max(lambda_max(P) - 1/2, 1/2 - lambda_min(P + R_i), 0).  Results agree
-exactly with the exhaustive walk; only the argmin may differ among ties.
+max(lambda_max(P) - 1/2, 1/2 - lambda_min(P + R_i), 0).  The search is
+depth-first over blocks of up to _BLOCK nodes of one depth held as arrays:
+a block costs one stacked eigensolve for its bounds and one for the
+lambda_max of its include children, while exclude children keep their
+parent's P and lambda_max.  Partial sums are built by the same elementwise
+additions as a one-node-at-a-time search, and a stacked eigvalsh equals
+the per-matrix call bit for bit, so every bound and every leaf deviation is
+the value that search computes; blocking changes only the visiting order,
+the number of leaves evaluated and, among ties, the argmin.
+
+Both modes report w = subset_distance(argmin), recomputed from scratch on
+the returned subset, so w never carries accumulator rounding.  The two
+modes return the same w bit for bit whenever they return the same argmin;
+otherwise (ties, or minima within rounding of each other) their w values
+differ by at most a few ulps.
 """
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import TooLarge
-from .instance import Instance
-from .linalg import spectral_distance_half
+from .instance import Instance, subset_distance
 
 DEFAULT_M_LIMIT = 24
 _CHUNK = 1 << 14
+_BLOCK = 128  # nodes per branch-and-bound block
 
 
 @dataclass(frozen=True)
@@ -99,30 +112,14 @@ def _chunk_min(vectors: np.ndarray, outers: np.ndarray, k0: int, k1: int) -> tup
 
 
 def brute_force_w(inst: Instance, m_limit: int = DEFAULT_M_LIMIT,
-                  threads: int = 1, method: str = "batched") -> OracleResult:
-    """Exact W by full enumeration of all 2^m subsets.
-
-    method="reference" evaluates one subset at a time through the scalar
-    eigenvalue kernel; it is the audit path for the batched walk and only
-    sensible for small m.
-    """
+                  threads: int = 1) -> OracleResult:
+    """Exact W by full enumeration of all 2^m subsets."""
     m = inst.num_vectors
     if m > m_limit:
         raise TooLarge(f"m = {m} exceeds m_limit = {m_limit}")
     if m > DEFAULT_M_LIMIT:
         warnings.warn(f"enumerating 2^{m} subsets; this may take a while", RuntimeWarning)
     total = 1 << m
-
-    if method == "reference":
-        best_w, best_k = np.inf, 0
-        for k in range(total):
-            w = spectral_distance_half(inst.gram(gray_subset(k)))
-            if w < best_w:
-                best_w, best_k = w, k
-        return OracleResult(best_w, gray_subset(best_k), total)
-    if method != "batched":
-        raise ValueError(f"unknown method {method!r}")
-
     vectors = inst.vectors
     outers = np.einsum("ij,ik->ijk", vectors, vectors)
     ranges = [(k0, min(k0 + _CHUNK, total)) for k0 in range(0, total, _CHUNK)]
@@ -131,69 +128,75 @@ def brute_force_w(inst: Instance, m_limit: int = DEFAULT_M_LIMIT,
             parts = list(pool.map(lambda r: _chunk_min(vectors, outers, *r), ranges))
     else:
         parts = [_chunk_min(vectors, outers, *r) for r in ranges]
-    best_w, best_k = min(parts, key=lambda t: (t[0], t[1]))
-    return OracleResult(best_w, gray_subset(best_k), total)
+    subset = gray_subset(min(parts, key=lambda t: (t[0], t[1]))[1])
+    return OracleResult(subset_distance(inst, subset), subset, total)
 
 
 def eq1_feasible(inst: Instance, c: float, m_limit: int = DEFAULT_M_LIMIT,
-                 threads: int = 1, method: str = "batched"):
+                 threads: int = 1):
     """(W <= c*sqrt(alpha), witness subset or None) by full enumeration."""
-    res = brute_force_w(inst, m_limit=m_limit, threads=threads, method=method)
-    threshold = c * float(np.sqrt(inst.alpha))
-    feasible = res.w_value <= threshold
-    witness = res.argmin_subset if feasible else None
-    return feasible, witness
+    res = with_threshold(inst, brute_force_w(inst, m_limit=m_limit, threads=threads), c)
+    return res.feasible_eq1, res.argmin_subset if res.feasible_eq1 else None
 
 
-def eq1_feasible_result(inst: Instance, c: float, m_limit: int = DEFAULT_M_LIMIT,
-                        threads: int = 1) -> OracleResult:
-    """Like eq1_feasible but returning the full OracleResult with the flag set."""
-    res = brute_force_w(inst, m_limit=m_limit, threads=threads)
-    threshold = c * float(np.sqrt(inst.alpha))
-    return OracleResult(res.w_value, res.argmin_subset, res.subsets_examined,
-                        feasible_eq1=res.w_value <= threshold, c=c)
+def with_threshold(inst: Instance, res: OracleResult, c: float) -> OracleResult:
+    """res with c set and feasible_eq1 = (w <= c*sqrt(alpha))."""
+    feasible = res.w_value <= c * float(np.sqrt(inst.alpha))
+    return replace(res, feasible_eq1=feasible, c=c)
 
 
-def branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -> OracleResult:
-    """W by depth-first search with completion-bound pruning.
+def _bb_search(inst: Instance, node_limit: Optional[int]) -> tuple[float, tuple[int, ...], int]:
+    """Blocked depth-first search: (minimum deviation found, its subset, leaves evaluated).
 
-    Identical w_value to brute_force_w; subsets_examined counts evaluated
-    leaves.  node_limit (expanded nodes) raises TooLarge when exceeded.
+    A block is (depth i, partial sums P (L, d, d), membership (L, m),
+    hi = lambda_max(P) (L,)); at depth m, hi is not used.
     """
     vectors = inst.vectors
     m, d = vectors.shape
-    outers = [np.outer(v, v) for v in vectors]
-    suffix = [np.zeros((d, d)) for _ in range(m + 1)]
+    outers = vectors[:, :, None] * vectors[:, None, :]
+    suffix = np.zeros((m + 1, d, d))
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + outers[i]
 
-    best_w = np.inf
-    best_subset: tuple[int, ...] = ()
-    leaves = 0
-    nodes = 0
-
-    def deviation(a: np.ndarray) -> float:
-        w = np.linalg.eigvalsh(a)
-        return float(max(w[-1] - 0.5, 0.5 - w[0]))
-
-    stack = [(0, np.zeros((d, d)), ())]
+    best_w, best_row = np.inf, np.zeros(m, dtype=bool)
+    leaves = nodes = 0
+    root = np.zeros((1, d, d))
+    stack = [(0, root, np.zeros((1, m), dtype=bool), np.linalg.eigvalsh(root)[:, -1])]
     while stack:
-        i, partial, chosen = stack.pop()
-        nodes += 1
+        i, p, member, hi = stack.pop()
+        nodes += len(p)
         if node_limit is not None and nodes > node_limit:
             raise TooLarge(f"branch-and-bound exceeded node limit {node_limit}")
         if i == m:
-            leaves += 1
-            w = deviation(partial)
-            if w < best_w:
-                best_w, best_subset = w, chosen
+            eig = np.linalg.eigvalsh(p)
+            dev = np.maximum(eig[:, -1] - 0.5, 0.5 - eig[:, 0])
+            t = int(np.argmin(dev))
+            leaves += len(p)
+            if dev[t] < best_w:
+                best_w, best_row = float(dev[t]), member[t]
             continue
-        hi = np.linalg.eigvalsh(partial)[-1]
-        lo = np.linalg.eigvalsh(partial + suffix[i])[0]
-        bound = max(hi - 0.5, 0.5 - lo, 0.0)
-        if bound >= best_w:
-            continue
-        # Exclude branch explored first (pushed last).
-        stack.append((i + 1, partial + outers[i], chosen + (i,)))
-        stack.append((i + 1, partial, chosen))
-    return OracleResult(best_w, best_subset, leaves)
+        lo = np.linalg.eigvalsh(p + suffix[i])[:, 0]
+        keep = np.maximum(np.maximum(hi - 0.5, 0.5 - lo), 0.0) < best_w
+        p, member, hi = p[keep], member[keep], hi[keep]
+        p_in = p + outers[i]
+        member_in = member.copy()
+        member_in[:, i] = True
+        # Leaves take their full spectrum, so only inner children need hi.
+        hi_in = np.linalg.eigvalsh(p_in)[:, -1] if i + 1 < m else hi
+        # Exclude children first, cut into blocks pushed so the first pops first.
+        p, member, hi = (np.concatenate(pair) for pair in
+                         ((p, p_in), (member, member_in), (hi, hi_in)))
+        for s in reversed(range(0, len(p), _BLOCK)):
+            stack.append((i + 1, p[s:s + _BLOCK], member[s:s + _BLOCK], hi[s:s + _BLOCK]))
+    return best_w, tuple(np.flatnonzero(best_row).tolist()), leaves
+
+
+def branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -> OracleResult:
+    """W by blocked depth-first search with completion-bound pruning.
+
+    w is subset_distance(argmin), like brute_force_w's; subsets_examined
+    counts evaluated leaves.  node_limit (popped nodes) raises TooLarge
+    when exceeded.
+    """
+    _, subset, leaves = _bb_search(inst, node_limit)
+    return OracleResult(subset_distance(inst, subset), subset, leaves)

@@ -85,6 +85,20 @@ class TestOracle:
         code2, res2 = run(capsys, "oracle", str(inst))
         assert abs(res["w"] - res2["w"]) <= 1e-12
 
+    def test_branch_bound_node_limit(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "random", "--d", "3", "--m", "12", "--seed", "6",
+            "--out", str(inst))
+        code = main(["oracle", str(inst), "--mode", "branch-bound", "--node-limit", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "too-large"
+        assert "Traceback" not in captured.err
+        code, res = run(capsys, "oracle", str(inst), "--mode", "branch-bound",
+                        "--node-limit", "1000000", "--c", "0.01")
+        assert code == 1 and res["feasible_eq1"] is False
+
 
 class TestReduce:
     def test_full_pipeline(self, tmp_path, capsys):

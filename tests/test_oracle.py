@@ -4,6 +4,7 @@ import pytest
 from ks2 import Instance, gen_planted, gen_random, subset_distance, validate
 from ks2.errors import TooLarge
 from ks2.oracle import (
+    _bb_search,
     branch_bound_w,
     brute_force_w,
     eq1_feasible,
@@ -12,6 +13,7 @@ from ks2.oracle import (
 )
 
 from conftest import random_rotation
+from reference_oracle import reference_branch_bound_w, reference_brute_force_w
 
 
 class TestGrayWalk:
@@ -64,7 +66,7 @@ class TestBruteForce:
         for seed in range(4):
             inst = gen_random(3, 9, seed=seed)
             fast = brute_force_w(inst)
-            ref = brute_force_w(inst, method="reference")
+            ref = reference_brute_force_w(inst)
             assert fast.w_value == pytest.approx(ref.w_value, abs=1e-12)
             assert subset_distance(inst, fast.argmin_subset) == pytest.approx(
                 ref.w_value, abs=1e-12)
@@ -170,3 +172,33 @@ class TestBranchBound:
         inst = gen_random(3, 12, seed=6)
         with pytest.raises(TooLarge):
             branch_bound_w(inst, node_limit=3)
+
+
+# d in 2..5 and m in 8..14 cycle independently (4 and 7 are coprime).
+BLOCKED_CASES = (
+    [pytest.param("random", 2 + s % 4, 8 + s % 7, s, id=f"random-{s}") for s in range(100)]
+    + [pytest.param("planted", 2 + s % 4, 4 + s % 4, s, id=f"planted-{s}") for s in range(12)]
+    + [pytest.param("fsat3_built", 0, 0, 0, id="F_SAT3"),
+       pytest.param("funsat4_built", 0, 0, 0, id="F_UNSAT4")])
+
+
+@pytest.mark.parametrize("kind, d, size, seed", BLOCKED_CASES)
+def test_blocked_search_matches_node_by_node_reference(request, kind, d, size, seed):
+    # Blocking changes the visiting order only: the minimum found must be the
+    # one-node-at-a-time search's minimum, bit for bit.
+    if kind == "random":
+        inst = gen_random(d, size, seed=seed)
+    elif kind == "planted":
+        inst, _ = gen_planted(d, size, seed=seed)
+    else:
+        inst, _ = request.getfixturevalue(kind)
+    w, _, leaves = _bb_search(inst, None)
+    assert w == reference_branch_bound_w(inst).w_value
+    assert leaves <= 2 ** inst.num_vectors
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reported_w_is_distance_of_argmin(seed):
+    inst = gen_random(4, 12, seed=seed)
+    for res in (brute_force_w(inst), branch_bound_w(inst)):
+        assert res.w_value == subset_distance(inst, res.argmin_subset)

@@ -112,3 +112,14 @@ def test_solver_and_oracle_agree_on_feasibility():
         out = solve(inst, 0.1, 0.3, seed=seed)
         if out.found:
             assert check_subset(inst, out.subset, 0.1, 0.3).satisfies_eq2
+
+
+def test_certify_script_runs_from_checkout(tmp_path):
+    # No PYTHONPATH and a foreign working directory: the script must find
+    # ks2 under the checkout's src/ by itself.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "certify_fixtures.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script), "--samples", "5"], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "certified" in proc.stdout
