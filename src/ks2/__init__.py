@@ -24,14 +24,15 @@ from .instance import (
 )
 from .linalg import (
     SymMatrix,
-    Tolerances,
+    distance_half,
     eig_extremes,
+    eig_extremes_stack,
     inv_sqrt,
     psd_sandwich_check,
     spd_solve,
     spectral_distance_half,
 )
-from .oracle import OracleResult, branch_bound_w, brute_force_w, eq1_feasible
+from .oracle import OracleResult, branch_bound_w, brute_force_w, with_threshold
 from .reduction import (
     CnfFormula,
     F_SAT3,
@@ -60,9 +61,9 @@ __all__ = [
     "Instance", "SubsetReport", "check_subset", "gen_planted", "gen_random",
     "instance_from_json", "instance_to_json", "load_instance", "load_subset",
     "save_instance", "save_subset", "subset_distance", "validate",
-    "SymMatrix", "Tolerances", "eig_extremes", "inv_sqrt", "psd_sandwich_check",
-    "spd_solve", "spectral_distance_half",
-    "OracleResult", "branch_bound_w", "brute_force_w", "eq1_feasible",
+    "SymMatrix", "distance_half", "eig_extremes", "eig_extremes_stack", "inv_sqrt",
+    "psd_sandwich_check", "spd_solve", "spectral_distance_half",
+    "OracleResult", "branch_bound_w", "brute_force_w", "with_threshold",
     "CnfFormula", "F_SAT3", "F_UNSAT4", "NotDecodable", "ReductionLayout",
     "Violation", "assignment_to_subset", "emit_dimacs", "find_violation",
     "ks_form_to_instance", "nae3sat_to_ks_form", "nae_brute_solve", "nae_eval",

@@ -3,13 +3,15 @@
 Each invocation prints exactly one JSON result object to stdout; human
 diagnostics go to stderr.  Exit codes are stable API: 0 success / found,
 1 verified negative (not found, unsatisfiable, condition fails), 2 usage or
-I/O error, 3 internal invariant failure.
+I/O error, 3 internal error (a failed invariant or any other crash, with
+{"error": "internal", "message"} on stdout).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 
 from . import oracle as oracle_mod
 from . import reduction, solver
@@ -67,9 +69,7 @@ def _cmd_solve(args) -> int:
         import dataclasses
         params = dataclasses.replace(params, n_override=args.n_override,
                                      max_level_size=args.max_level_size)
-    outcome = solver.solve(inst, args.c, args.epsilon, args.seed,
-                           params_override=params, threads=args.threads)
-    solver.verify_outcome(inst, outcome, args.c, args.epsilon)
+    outcome = solver.solve(inst, args.c, args.epsilon, args.seed, params_override=params)
     if outcome.found and args.subset_out:
         save_subset(outcome.subset, args.subset_out)
     _emit(outcome.to_dict())
@@ -200,8 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="constant in the sparsifier size bound n")
     s.add_argument("--n-override", type=int)
     s.add_argument("--max-level-size", type=int)
-    s.add_argument("--threads", type=int, default=1,
-                   help="ignored; each level is processed by batched kernels in one thread")
     s.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
     s.add_argument("--subset-out")
     s.set_defaults(func=_cmd_solve)
@@ -251,6 +249,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
+        _emit({"error": "internal", "message": str(exc)})
         return EXIT_INTERNAL
     except TooLarge as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
@@ -264,6 +263,10 @@ def main(argv=None) -> int:
     except (KsError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash must never read as exit 1, "verified negative"
+        traceback.print_exc()
+        _emit({"error": "internal", "message": f"{type(exc).__name__}: {exc}"})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

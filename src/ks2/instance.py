@@ -16,7 +16,7 @@ import numpy as np
 
 from . import prng
 from .errors import BadSubset, DegenerateSample, EmptyInstance, NotIsotropic
-from .linalg import SymMatrix, eig_extremes, inv_sqrt, spectral_distance_half
+from .linalg import SymMatrix, eig_extremes, eig_extremes_stack, inv_sqrt, spectral_distance_half
 
 DEFAULT_ISO_TOL = 1e-8
 
@@ -77,9 +77,8 @@ class Instance:
 
     def isotropy_deviation(self) -> float:
         """||sum v v^T - I|| in spectral norm."""
-        g = self.gram().a - np.eye(self.dim)
-        w = np.linalg.eigvalsh(g)
-        return float(max(abs(w[0]), abs(w[-1])))
+        lo, hi = eig_extremes_stack(self.gram().a - np.eye(self.dim))
+        return float(max(abs(lo), abs(hi)))
 
 
 @dataclass(frozen=True)
@@ -225,13 +224,21 @@ def instance_to_json(inst: Instance) -> str:
     )
 
 
+def _is_json(x, kind) -> bool:
+    """isinstance for parsed JSON, where true and false are bools, never ints."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def instance_from_json(text: str) -> Instance:
     obj = json.loads(text)
-    d = int(obj["d"])
-    vectors = np.asarray(obj["vectors"], dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] != d:
-        raise EmptyInstance(f"vector rows do not match d={d}")
-    return Instance(vectors, meta=obj.get("meta") or {})
+    if not isinstance(obj, dict) or not _is_json(obj.get("d"), int):
+        raise EmptyInstance('an instance file is an object with an integer "d"')
+    d, rows = obj["d"], obj.get("vectors")
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == d
+            and all(_is_json(x, (int, float)) for x in row) for row in rows):
+        raise EmptyInstance(f'"vectors" must be a list of rows of d={d} numbers')
+    return Instance(np.asarray(rows, dtype=np.float64), meta=obj.get("meta") or {})
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -253,4 +260,6 @@ def save_subset(subset: Sequence[int], path) -> None:
 def load_subset(path) -> list[int]:
     with open(path) as fh:
         data = json.load(fh)
-    return [int(i) for i in data]
+    if not isinstance(data, list) or not all(_is_json(i, int) for i in data):
+        raise BadSubset("a subset file is a JSON array of integer indices")
+    return data

@@ -15,18 +15,8 @@ import scipy.linalg as sla
 
 from .errors import DimMismatch, InvalidMatrix, NotPositiveDefinite, SingularSystem
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numeric tolerances for the matrix kernels."""
-
-    eig_abs: float = 1e-10          # eigenvalue absolute error budget (scaled by max(1, ||M||))
-    residual: float = 1e-9          # relative residual for solves and inverse square roots
-    psd_slack: float = 1e-9         # slack allowed in PSD-order comparisons
-    spd_floor: float = 1e-12        # smallest eigenvalue accepted as positive definite
-
-
-DEFAULT_TOLS = Tolerances()
+PSD_SLACK = 1e-9   # slack allowed in PSD-order comparisons
+SPD_FLOOR = 1e-12  # smallest eigenvalue accepted as positive definite
 
 
 @dataclass(frozen=True)
@@ -84,10 +74,25 @@ class SymMatrix:
         return SymMatrix(a)
 
 
+def eig_extremes_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_min, lambda_max) of every symmetric matrix of a (..., d, d) stack.
+
+    The one eigensolve behind every band test: a single eigvalsh call over
+    the whole stack, whose values equal the per-matrix call bit for bit.
+    """
+    w = np.linalg.eigvalsh(stack)
+    return w[..., 0], w[..., -1]
+
+
+def distance_half(lo, hi):
+    """||M - I/2|| = max(lambda_max - 1/2, 1/2 - lambda_min) from M's extremes, elementwise."""
+    return np.maximum(hi - 0.5, 0.5 - lo)
+
+
 def eig_extremes(m: SymMatrix) -> tuple[float, float]:
     """Smallest and largest eigenvalues of a symmetric matrix."""
-    w = np.linalg.eigvalsh(m.a)
-    return float(w[0]), float(w[-1])
+    lo, hi = eig_extremes_stack(m.a)
+    return float(lo), float(hi)
 
 
 def spd_solve(m: SymMatrix, shift: float, v: np.ndarray) -> np.ndarray:
@@ -123,21 +128,20 @@ def spd_solve_stack(stack: np.ndarray, shift: float, v: np.ndarray) -> np.ndarra
         raise SingularSystem(f"Cholesky failed: {exc}") from exc
 
 
-def inv_sqrt(m: SymMatrix, tols: Tolerances = DEFAULT_TOLS) -> SymMatrix:
+def inv_sqrt(m: SymMatrix) -> SymMatrix:
     """Inverse square root N of an SPD matrix, so that N M N = I."""
     w, q = np.linalg.eigh(m.a)
-    if w[0] <= tols.spd_floor:
-        raise NotPositiveDefinite(f"lambda_min = {w[0]:.3e} <= {tols.spd_floor:.0e}")
+    if w[0] <= SPD_FLOOR:
+        raise NotPositiveDefinite(f"lambda_min = {w[0]:.3e} <= {SPD_FLOOR:.0e}")
     n = (q / np.sqrt(w)) @ q.T
     return SymMatrix.from_array(n)
 
 
-def psd_sandwich_check(a: SymMatrix, b: SymMatrix, mu: float, delta: float,
-                       tols: Tolerances = DEFAULT_TOLS) -> bool:
+def psd_sandwich_check(a: SymMatrix, b: SymMatrix, mu: float, delta: float) -> bool:
     """True iff (1 - mu) A - delta I <= B <= (1 + mu) A + delta I in PSD order.
 
     Each side is checked through the smallest eigenvalue of the difference,
-    with slack tols.psd_slack.
+    with slack PSD_SLACK.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dims {a.dim} vs {b.dim}")
@@ -148,9 +152,9 @@ def psd_sandwich_check(a: SymMatrix, b: SymMatrix, mu: float, delta: float,
     eye = np.eye(a.dim)
     lower = b.a - (1.0 - mu) * a.a + delta * eye
     upper = (1.0 + mu) * a.a + delta * eye - b.a
-    lo_min = np.linalg.eigvalsh(0.5 * (lower + lower.T))[0]
-    up_min = np.linalg.eigvalsh(0.5 * (upper + upper.T))[0]
-    return bool(lo_min >= -tols.psd_slack and up_min >= -tols.psd_slack)
+    lo_min = eig_extremes_stack(0.5 * (lower + lower.T))[0]
+    up_min = eig_extremes_stack(0.5 * (upper + upper.T))[0]
+    return bool(lo_min >= -PSD_SLACK and up_min >= -PSD_SLACK)
 
 
 def spectral_distance_half(m: SymMatrix) -> float:
@@ -158,5 +162,4 @@ def spectral_distance_half(m: SymMatrix) -> float:
 
     This is the worst-direction deviation of the quadratic form from 1/2.
     """
-    lo, hi = eig_extremes(m)
-    return max(hi - 0.5, 0.5 - lo)
+    return float(distance_half(*eig_extremes_stack(m.a)))

@@ -16,8 +16,8 @@ depth-first over blocks of up to _BLOCK nodes of one depth held as arrays:
 a block costs one stacked eigensolve for its bounds and one for the
 lambda_max of its include children, while exclude children keep their
 parent's P and lambda_max.  Partial sums are built by the same elementwise
-additions as a one-node-at-a-time search, and a stacked eigvalsh equals
-the per-matrix call bit for bit, so every bound and every leaf deviation is
+additions as a one-node-at-a-time search, and a stacked eigensolve equals
+the per-matrix one bit for bit, so every bound and every leaf deviation is
 the value that search computes; blocking changes only the visiting order,
 the number of leaves evaluated and, among ties, the argmin.
 
@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import TooLarge
 from .instance import Instance, subset_distance
+from .linalg import distance_half, eig_extremes_stack
 
 DEFAULT_M_LIMIT = 24
 _CHUNK = 1 << 14
@@ -81,19 +82,10 @@ def gray_subset(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _subset_matrix(vectors: np.ndarray, k: int) -> np.ndarray:
-    idx = list(gray_subset(k))
-    d = vectors.shape[1]
-    if not idx:
-        return np.zeros((d, d))
-    rows = vectors[idx]
-    return rows.T @ rows
-
-
-def _chunk_min(vectors: np.ndarray, outers: np.ndarray, k0: int, k1: int) -> tuple[float, int]:
+def _chunk_min(inst: Instance, outers: np.ndarray, k0: int, k1: int) -> tuple[float, int]:
     """Minimum (deviation, gray index) over subsets k0 <= k < k1."""
     count = k1 - k0
-    a0 = _subset_matrix(vectors, k0)
+    a0 = inst.gram(gray_subset(k0)).a
     mats = np.empty((count,) + a0.shape)
     mats[0] = a0
     if count > 1:
@@ -105,8 +97,7 @@ def _chunk_min(vectors: np.ndarray, outers: np.ndarray, k0: int, k1: int) -> tup
         signs = 2.0 * on - 1.0
         deltas = signs[:, None, None] * outers[flips]
         mats[1:] = a0 + np.cumsum(deltas, axis=0)
-    eig = np.linalg.eigvalsh(mats)
-    dev = np.maximum(eig[:, -1] - 0.5, 0.5 - eig[:, 0])
+    dev = distance_half(*eig_extremes_stack(mats))
     t = int(np.argmin(dev))
     return float(dev[t]), k0 + t
 
@@ -125,18 +116,11 @@ def brute_force_w(inst: Instance, m_limit: int = DEFAULT_M_LIMIT,
     ranges = [(k0, min(k0 + _CHUNK, total)) for k0 in range(0, total, _CHUNK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: _chunk_min(vectors, outers, *r), ranges))
+            parts = list(pool.map(lambda r: _chunk_min(inst, outers, *r), ranges))
     else:
-        parts = [_chunk_min(vectors, outers, *r) for r in ranges]
+        parts = [_chunk_min(inst, outers, *r) for r in ranges]
     subset = gray_subset(min(parts, key=lambda t: (t[0], t[1]))[1])
     return OracleResult(subset_distance(inst, subset), subset, total)
-
-
-def eq1_feasible(inst: Instance, c: float, m_limit: int = DEFAULT_M_LIMIT,
-                 threads: int = 1):
-    """(W <= c*sqrt(alpha), witness subset or None) by full enumeration."""
-    res = with_threshold(inst, brute_force_w(inst, m_limit=m_limit, threads=threads), c)
-    return res.feasible_eq1, res.argmin_subset if res.feasible_eq1 else None
 
 
 def with_threshold(inst: Instance, res: OracleResult, c: float) -> OracleResult:
@@ -161,28 +145,27 @@ def _bb_search(inst: Instance, node_limit: Optional[int]) -> tuple[float, tuple[
     best_w, best_row = np.inf, np.zeros(m, dtype=bool)
     leaves = nodes = 0
     root = np.zeros((1, d, d))
-    stack = [(0, root, np.zeros((1, m), dtype=bool), np.linalg.eigvalsh(root)[:, -1])]
+    stack = [(0, root, np.zeros((1, m), dtype=bool), eig_extremes_stack(root)[1])]
     while stack:
         i, p, member, hi = stack.pop()
         nodes += len(p)
         if node_limit is not None and nodes > node_limit:
             raise TooLarge(f"branch-and-bound exceeded node limit {node_limit}")
         if i == m:
-            eig = np.linalg.eigvalsh(p)
-            dev = np.maximum(eig[:, -1] - 0.5, 0.5 - eig[:, 0])
+            dev = distance_half(*eig_extremes_stack(p))
             t = int(np.argmin(dev))
             leaves += len(p)
             if dev[t] < best_w:
                 best_w, best_row = float(dev[t]), member[t]
             continue
-        lo = np.linalg.eigvalsh(p + suffix[i])[:, 0]
-        keep = np.maximum(np.maximum(hi - 0.5, 0.5 - lo), 0.0) < best_w
+        lo = eig_extremes_stack(p + suffix[i])[0]
+        keep = np.maximum(distance_half(lo, hi), 0.0) < best_w
         p, member, hi = p[keep], member[keep], hi[keep]
         p_in = p + outers[i]
         member_in = member.copy()
         member_in[:, i] = True
         # Leaves take their full spectrum, so only inner children need hi.
-        hi_in = np.linalg.eigvalsh(p_in)[:, -1] if i + 1 < m else hi
+        hi_in = eig_extremes_stack(p_in)[1] if i + 1 < m else hi
         # Exclude children first, cut into blocks pushed so the first pops first.
         p, member, hi = (np.concatenate(pair) for pair in
                          ((p, p_in), (member, member_in), (hi, hi_in)))

@@ -24,7 +24,6 @@ TAG_GEN_RANDOM = 1
 TAG_GEN_PLANTED = 2
 TAG_SOLVER = 3
 TAG_SUBSET = 4
-TAG_ROTATION = 5
 
 
 def mix64(z: int) -> int:

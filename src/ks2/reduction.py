@@ -659,16 +659,30 @@ def layout_to_json(layout: ReductionLayout) -> str:
 
 
 def layout_from_json(text: str) -> ReductionLayout:
+    """Parse a layout file; LayoutMismatch unless it names every dimension and
+    vector once and every clause in exactly three literals."""
     obj = json.loads(text)
-    return ReductionLayout(
-        num_clauses=int(obj["num_clauses"]),
-        num_vars=int(obj["num_vars"]),
-        clause_dims={int(k): int(v) for k, v in obj["clause_dims"].items()},
-        var_dims={int(k): int(v) for k, v in obj["var_dims"].items()},
-        clause_vecs={int(k): int(v) for k, v in obj["clause_vecs"].items()},
-        literal_vecs={int(k): tuple(v) for k, v in obj["literal_vecs"].items()},
-        literal_clauses={int(k): tuple(v) for k, v in obj["literal_clauses"].items()},
-    )
+    try:
+        layout = ReductionLayout(
+            num_clauses=int(obj["num_clauses"]),
+            num_vars=int(obj["num_vars"]),
+            clause_dims={int(k): int(v) for k, v in obj["clause_dims"].items()},
+            var_dims={int(k): int(v) for k, v in obj["var_dims"].items()},
+            clause_vecs={int(k): int(v) for k, v in obj["clause_vecs"].items()},
+            literal_vecs={int(k): tuple(v) for k, v in obj["literal_vecs"].items()},
+            literal_clauses={int(k): tuple(v) for k, v in obj["literal_clauses"].items()},
+        )
+        dims = [*layout.clause_dims.values(), *layout.var_dims.values()]
+        vecs = [*layout.clause_vecs.values()] + [i for q in layout.literal_vecs.values() for i in q]
+        refs = [j for cls in layout.literal_clauses.values() for j in cls]
+        ok = (sorted(dims) == list(range(layout.expected_dim))
+              and sorted(vecs) == list(range(layout.expected_vectors))
+              and sorted(refs) == sorted(3 * list(range(layout.num_clauses))))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise LayoutMismatch(f"malformed layout file: {exc!r}") from exc
+    if not ok:
+        raise LayoutMismatch("layout indices do not cover its dimensions, vectors and clauses")
+    return layout
 
 
 def save_layout(layout: ReductionLayout, path) -> None:

@@ -41,6 +41,7 @@ import numpy as np
 from . import prng
 from .errors import InfeasibleParameters, InternalInvariantError, ResourceExhausted
 from .instance import Instance, SubsetReport, check_subset, validate
+from .linalg import eig_extremes_stack
 from .sparsifier import fold_ledger_hashes, new_state, stack_probabilities
 
 DEFAULT_LEVEL_CONSTANT = 40.0
@@ -62,7 +63,6 @@ class SolverParams:
     lam: float
     b: float
     n: int
-    level_constant: float = DEFAULT_LEVEL_CONSTANT
     n_override: Optional[int] = None
     max_level_size: Optional[int] = None
 
@@ -91,8 +91,7 @@ def derive_params(inst: Instance, c: float, epsilon: float,
     d = inst.dim
     b = 8.0 * math.log(d) / mu**2
     n = max(1, math.ceil(level_constant * d * math.log(d) * math.log(1.0 / lam) / mu**2))
-    return SolverParams(c=c, epsilon=epsilon, mu=mu, lam=lam, b=b, n=n,
-                        level_constant=level_constant)
+    return SolverParams(c=c, epsilon=epsilon, mu=mu, lam=lam, b=b, n=n)
 
 
 @dataclass
@@ -135,15 +134,14 @@ class SolveOutcome:
 
 def solve(inst: Instance, c: float, epsilon: float, seed: int,
           params_override: Optional[SolverParams] = None,
-          force_sample: bool = False,
           collect_subsets: bool = False,
           threads: int = 1) -> SolveOutcome:
     """Run the level-set search; deterministic per (instance, c, epsilon, seed, params).
 
-    force_sample pins every uniform draw to 0 so all paths keep every vector
-    (the brute-force equivalence harness); collect_subsets records the final
-    level's representative subsets.  threads is accepted and ignored: each
-    level is processed by batched kernels in the calling thread.
+    collect_subsets records the final level's representative subsets in
+    final_subsets.  threads is ignored (each level is processed by batched
+    kernels in the calling thread); it stays only because the benchmark's
+    workloads pass threads=1.
     """
     if not inst.validated:
         inst = validate(inst)
@@ -169,8 +167,8 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
 
         grown = members.copy()
         grown[:, i] = True
-        eig = np.linalg.eigvalsh(inst.grams(grown))
-        hits = np.flatnonzero((lo_bound <= eig[:, 0]) & (eig[:, -1] <= hi_bound))
+        lo, hi = eig_extremes_stack(inst.grams(grown))
+        hits = np.flatnonzero((lo_bound <= lo) & (hi <= hi_bound))
         if hits.size:  # earliest gate hit in entry order wins
             hit = tuple(np.flatnonzero(grown[hits[0]]).tolist())
             report = check_subset(inst, hit, c, epsilon)
@@ -181,10 +179,9 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
 
         v = inst.vectors[i]
         p = stack_probabilities(sums, root.mu, root.shift, v)
-        kept = p > 0.0 if force_sample else p >= 1.0
-        if not force_sample:
-            part = np.flatnonzero((p > 0.0) & (p < 1.0))
-            kept[part] = prng.first_uniforms(seed, (prng.TAG_SOLVER, i), hashes[part]) <= p[part]
+        kept = p >= 1.0
+        part = np.flatnonzero((p > 0.0) & (p < 1.0))
+        kept[part] = prng.first_uniforms(seed, (prng.TAG_SOLVER, i), hashes[part]) <= p[part]
         weights = 1.0 / p[kept]
 
         # Children in entry order: a keep emits (S, old) then (S', new), a
@@ -206,14 +203,3 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
 
     final = [tuple(np.flatnonzero(row).tolist()) for row in members] if collect_subsets else None
     return SolveOutcome("not-found", None, None, stats, final_subsets=final)
-
-
-def verify_outcome(inst: Instance, outcome: SolveOutcome, c: float, epsilon: float) -> bool:
-    """Independent recomputation of a found subset's band membership."""
-    if not outcome.found:
-        return True
-    report = check_subset(inst, outcome.subset, c, epsilon)
-    if not report.satisfies_eq2:
-        raise InternalInvariantError(
-            f"found subset {outcome.subset} fails the band on recheck")
-    return True

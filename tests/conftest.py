@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from ks2 import CnfFormula, F_SAT3, F_UNSAT4, Instance, ks_form_to_instance, validate
+from ks2 import CnfFormula, F_SAT3, F_UNSAT4, Instance, ks_form_to_instance, prng, validate
 from ks2.prng import Stream, derive_key
 
 RHALF = 1.0 / np.sqrt(2.0)
@@ -54,6 +54,16 @@ def stress_instance(pairs_per_axis: int = 2) -> Instance:
 @pytest.fixture
 def stress_notfound():
     return stress_instance(2)
+
+
+@pytest.fixture
+def forced_sampling(monkeypatch):
+    """Every uniform draw of solve() reads 0, so each path keeps every vector with p > 0.
+
+    This is the brute-force equivalence harness: with an inactive size
+    filter the final level then holds every subset as a representative.
+    """
+    monkeypatch.setattr(prng, "first_uniforms", lambda seed, path, last: np.zeros(len(last)))
 
 
 @pytest.fixture(scope="session")

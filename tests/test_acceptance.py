@@ -221,7 +221,7 @@ def test_criterion_09_sparsifier_sandwich():
            f"sandwich {sandwich_ok}/100, count<= {cap} in {count_ok}/100", t0)
 
 
-def test_criterion_10_power_set_harness():
+def test_criterion_10_power_set_harness(forced_sampling):
     t0 = time.time()
     def axes_instance(counts):
         d = len(counts) + 1
@@ -238,8 +238,7 @@ def test_criterion_10_power_set_harness():
         inst = axes_instance(counts)
         m = inst.num_vectors
         params = dataclasses.replace(derive_params(inst, 0.1, 0.1), n_override=m + 1)
-        out = solve(inst, 0.1, 0.1, seed=0, params_override=params,
-                    force_sample=True, collect_subsets=True)
+        out = solve(inst, 0.1, 0.1, seed=0, params_override=params, collect_subsets=True)
         got = {frozenset(s) for s in out.final_subsets}
         want = {frozenset(c) for r in range(m + 1)
                 for c in itertools.combinations(range(m), r)}

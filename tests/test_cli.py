@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from ks2 import cli
 from ks2.cli import main
 from ks2.reduction import F_SAT3, F_UNSAT4, emit_dimacs
 
@@ -173,3 +176,65 @@ class TestCheck:
                         "--layout", str(layout), "--subset", str(subset))
         assert code == 1
         assert res["encodes_satisfying"]
+
+
+class TestMalformedInput:
+    """Exit 1 means "verified negative": bad input exits 2 and a crash exits 3."""
+
+    @pytest.mark.parametrize("entries", ["[1.5]", "[true]", '["x"]'])
+    def test_non_integer_subset_entry(self, tmp_path, capsys, entries):
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "planted", "--d", "3", "--k", "4", "--seed", "1",
+            "--out", str(inst))
+        subset = tmp_path / "s.json"
+        subset.write_text(entries)
+        code, res = run(capsys, "verify", str(inst), "--subset", str(subset),
+                        "--c", "0.1", "--epsilon", "0.3")
+        assert code == 2 and res is None
+
+    @pytest.mark.parametrize("text", [
+        '{"vectors": [[1.0, 0.0], [0.0, 1.0]]}',
+        '{"d": 2, "vectors": [[1.0, 0.0], [0.0]]}',
+    ], ids=["missing-d", "ragged-rows"])
+    def test_malformed_instance(self, tmp_path, capsys, text):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        code, res = run(capsys, "check", "instance", str(path))
+        assert code == 2 and res is None
+
+    @pytest.mark.parametrize("mutate", [
+        lambda obj: obj.pop("var_dims"),
+        lambda obj: obj["var_dims"].update({"1": -1}),
+    ], ids=["missing-key", "negative-dim"])
+    def test_malformed_layout(self, tmp_path, capsys, mutate):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(emit_dimacs(F_UNSAT4))
+        inst = tmp_path / "inst.json"
+        layout = tmp_path / "layout.json"
+        run(capsys, "reduce", "ksform2inst", str(cnf), "--out", str(inst),
+            "--layout", str(layout))
+        obj = json.loads(layout.read_text())
+        mutate(obj)
+        layout.write_text(json.dumps(obj))
+        subset = tmp_path / "s.json"
+        subset.write_text("[0, 4, 5]\n")
+        code, res = run(capsys, "check", "violation", str(inst),
+                        "--layout", str(layout), "--subset", str(subset))
+        assert code == 2 and res is None
+
+    def test_crash_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_check", crash)
+        code = main(["check", "instance", str(tmp_path / "inst.json")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out) == {"error": "internal", "message": "RuntimeError: boom"}
+
+    def test_solve_has_no_threads_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "inst.json", "--c", "0.1", "--epsilon", "0.3", "--seed", "1",
+                  "--threads", "1"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err

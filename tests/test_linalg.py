@@ -9,9 +9,12 @@ from ks2.errors import (
     NotPositiveDefinite,
     SingularSystem,
 )
+from ks2.instance import gen_random
 from ks2.linalg import (
     SymMatrix,
+    distance_half,
     eig_extremes,
+    eig_extremes_stack,
     inv_sqrt,
     psd_sandwich_check,
     spd_solve,
@@ -64,6 +67,17 @@ class TestEigExtremes:
         lo, hi = eig_extremes(SymMatrix.diagonal(s))
         assert abs(lo - s.min()) <= 1e-10 * max(1.0, np.abs(s).max())
         assert abs(hi - s.max()) <= 1e-10 * max(1.0, np.abs(s).max())
+
+    def test_stack_matches_per_matrix_bit_for_bit(self):
+        inst = gen_random(5, 12, seed=4)
+        members = np.random.default_rng(4).random((64, 12)) < 0.5
+        stack = inst.grams(members)
+        lo, hi = eig_extremes_stack(stack)
+        dist = distance_half(lo, hi)
+        for j, a in enumerate(stack):
+            w = np.linalg.eigvalsh(a)
+            assert (lo[j], hi[j]) == (w[0], w[-1])
+            assert dist[j] == max(w[-1] - 0.5, 0.5 - w[0])
 
 
 class TestSpdSolve:

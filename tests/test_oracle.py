@@ -7,9 +7,9 @@ from ks2.oracle import (
     _bb_search,
     branch_bound_w,
     brute_force_w,
-    eq1_feasible,
     gray_code,
     gray_subset,
+    with_threshold,
 )
 
 from conftest import random_rotation
@@ -113,21 +113,20 @@ class TestBruteForce:
 class TestEq1Feasible:
     def test_planted_feasible(self):
         inst, _ = gen_planted(3, 4, seed=1)
-        feasible, witness = eq1_feasible(inst, c=0.01)
-        assert feasible
-        assert subset_distance(inst, witness) <= 0.01 * np.sqrt(inst.alpha)
+        res = with_threshold(inst, brute_force_w(inst), c=0.01)
+        assert res.feasible_eq1
+        assert subset_distance(inst, res.argmin_subset) <= 0.01 * np.sqrt(inst.alpha)
 
     def test_boundary_threshold_zero(self, dyadic_axes_d3):
         # All subset sums are exact dyadics, so the optimum is exactly zero
         # and remains feasible at threshold c = 0.
-        feasible, witness = eq1_feasible(dyadic_axes_d3, c=0.0)
-        assert feasible
-        assert subset_distance(dyadic_axes_d3, witness) == 0.0
+        res = with_threshold(dyadic_axes_d3, brute_force_w(dyadic_axes_d3), c=0.0)
+        assert res.feasible_eq1
+        assert subset_distance(dyadic_axes_d3, res.argmin_subset) == 0.0
 
     def test_stress_infeasible(self, stress_notfound):
-        feasible, witness = eq1_feasible(stress_notfound, c=0.4)
-        assert not feasible
-        assert witness is None
+        res = with_threshold(stress_notfound, brute_force_w(stress_notfound), c=0.4)
+        assert not res.feasible_eq1
 
 
 class TestBranchBound:

@@ -7,7 +7,7 @@ import pytest
 
 from ks2 import Instance, check_subset, gen_planted, gen_random, validate
 from ks2.errors import InfeasibleParameters, ResourceExhausted
-from ks2.solver import derive_params, solve, verify_outcome
+from ks2.solver import derive_params, solve
 
 from conftest import stress_instance
 from reference_solver import reference_solve
@@ -49,7 +49,7 @@ class TestSolve:
     def test_axis_pairs_found(self, axis_pairs_d3):
         out = solve(axis_pairs_d3, 0.1, 0.1, seed=7)
         assert out.found
-        assert verify_outcome(axis_pairs_d3, out, 0.1, 0.1)
+        assert check_subset(axis_pairs_d3, out.subset, 0.1, 0.1).satisfies_eq2
         ca = 0.1 * math.sqrt(axis_pairs_d3.alpha)
         assert (1 - 0.1) * (0.5 - ca) <= out.report.lambda_min
         assert out.report.lambda_max <= (1 + 0.1) * (0.5 + ca)
@@ -99,14 +99,13 @@ class TestSolve:
         assert not out.found
         assert out.stats.size_filtered > 0
 
-    def test_power_set_equivalence_small(self):
+    def test_power_set_equivalence_small(self, forced_sampling):
         # Forced sampling with an inactive size filter must enumerate every
         # subset as a representative (none satisfies the band here).
         inst = stress_instance(1)  # m = 5
         m = inst.num_vectors
         params = dataclasses.replace(derive_params(inst, 0.1, 0.1), n_override=m + 1)
-        out = solve(inst, 0.1, 0.1, seed=0, params_override=params,
-                    force_sample=True, collect_subsets=True)
+        out = solve(inst, 0.1, 0.1, seed=0, params_override=params, collect_subsets=True)
         assert not out.found
         got = {frozenset(s) for s in out.final_subsets}
         want = {frozenset(c) for r in range(m + 1)
@@ -128,8 +127,7 @@ def _with(inst, c, epsilon, **changes):
 
 def _power_set_case(pairs):
     inst = stress_instance(pairs)
-    return inst, dict(params_override=_with(inst, 0.1, 0.1, n_override=inst.num_vectors + 1),
-                      force_sample=True)
+    return inst, dict(params_override=_with(inst, 0.1, 0.1, n_override=inst.num_vectors + 1))
 
 
 def _d1_case():
@@ -154,7 +152,11 @@ REFERENCE_CASES = {
     "unsaturated-mu1": (lambda: (gen_random(3, 40, seed=3), dict(
         params_override=_with(gen_random(3, 40, seed=3), 0.1, 0.3, mu=1.0,
                               max_level_size=20000))), 0.1, 0.3, 3),
+    "forced-unsaturated-mu1": (lambda: (gen_random(3, 14, seed=3), dict(
+        params_override=_with(gen_random(3, 14, seed=3), 0.1, 0.3, mu=1.0))), 0.1, 0.3, 3),
 }
+# Cases run with the forced_sampling stub, against the reference's own force_sample.
+FORCED = {"power-set-1", "power-set-2", "forced-unsaturated-mu1"}
 
 
 def _record(fn, inst, c, epsilon, seed, kwargs):
@@ -167,11 +169,14 @@ def _record(fn, inst, c, epsilon, seed, kwargs):
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_matches_per_entry_reference(case):
+def test_matches_per_entry_reference(case, request):
     build, c, epsilon, seed = REFERENCE_CASES[case]
     inst, kwargs = build()
+    if case in FORCED:
+        request.getfixturevalue("forced_sampling")
     got = _record(solve, inst, c, epsilon, seed, kwargs)
-    assert got == _record(reference_solve, inst, c, epsilon, seed, kwargs)
+    assert got == _record(reference_solve, inst, c, epsilon, seed,
+                          dict(kwargs, force_sample=case in FORCED))
     if case == "d1-degenerate":
         assert got[1].__name__ == "DegenerateDimension"
     if case == "unsaturated-mu1":
