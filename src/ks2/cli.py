@@ -9,6 +9,7 @@ I/O error, 3 internal error (a failed invariant or any other crash, with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -64,11 +65,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load_validated(args.instance, args.iso_tol)
-    params = solver.derive_params(inst, args.c, args.epsilon, level_constant=args.C)
-    if args.n_override is not None or args.max_level_size is not None:
-        import dataclasses
-        params = dataclasses.replace(params, n_override=args.n_override,
-                                     max_level_size=args.max_level_size)
+    params = dataclasses.replace(
+        solver.derive_params(inst, args.c, args.epsilon, level_constant=args.C),
+        max_level_size=args.max_level_size)
+    if args.n_override is not None:
+        params = dataclasses.replace(params, n=args.n_override)
     outcome = solver.solve(inst, args.c, args.epsilon, args.seed, params_override=params)
     if outcome.found and args.subset_out:
         save_subset(outcome.subset, args.subset_out)
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
         if exc.stats is not None:
             print(json.dumps({"error": "resource-exhausted", "stats": exc.stats.to_dict()}))
         return EXIT_USAGE
-    except (KsError, OSError, json.JSONDecodeError) as exc:
+    except (KsError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a crash must never read as exit 1, "verified negative"

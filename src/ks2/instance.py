@@ -238,7 +238,11 @@ def instance_from_json(text: str) -> Instance:
             isinstance(row, list) and len(row) == d
             and all(_is_json(x, (int, float)) for x in row) for row in rows):
         raise EmptyInstance(f'"vectors" must be a list of rows of d={d} numbers')
-    return Instance(np.asarray(rows, dtype=np.float64), meta=obj.get("meta") or {})
+    try:
+        vectors = np.asarray(rows, dtype=np.float64)
+    except OverflowError as exc:
+        raise EmptyInstance(f"an entry of \"vectors\" is not a double: {exc}") from exc
+    return Instance(vectors, meta=obj.get("meta") or {})
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -108,18 +108,14 @@ def spd_solve(m: SymMatrix, shift: float, v: np.ndarray) -> np.ndarray:
         raise DimMismatch(f"vector length {v.shape} vs matrix dim {m.dim}")
     if not np.isfinite(v).all():
         raise InvalidMatrix("right-hand side has non-finite entries")
-    shifted = m.a + shift * np.eye(m.dim)
-    try:
-        return sla.solve(shifted, v, assume_a="pos", check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"Cholesky failed: {exc}") from exc
+    return spd_solve_stack(m.a, shift, v)
 
 
 def spd_solve_stack(stack: np.ndarray, shift: float, v: np.ndarray) -> np.ndarray:
-    """spd_solve for every matrix of an (L, d, d) stack against one vector v.
+    """Solve (M + shift * I) w = v for every matrix M of a (..., d, d) stack.
 
-    Returns the (L, d) solutions, each bit-identical to spd_solve on its
-    matrix; a failed factorization of any matrix raises SingularSystem.
+    Returns the (..., d) solutions, each bit-identical to the solve on its
+    matrix alone; a failed factorization of any matrix raises SingularSystem.
     """
     shifted = stack + shift * np.eye(stack.shape[-1])
     try:

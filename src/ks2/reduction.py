@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .instance import Instance, validate
+from .instance import Instance, _is_json, validate
 
 # Variable-dimension magnitude for literal vectors.  This is the double just
 # below 2^-1.5, so a literal vector's squared norm never exceeds 1/4 in
@@ -140,15 +140,16 @@ def _literal_value(lit: int, assignment: Sequence[bool]) -> bool:
     return v if lit > 0 else not v
 
 
+def _nae_ok(clause: Sequence[int], assignment: Sequence[bool]) -> bool:
+    """True iff the clause has at least one true and at least one false literal."""
+    return len({_literal_value(lit, assignment) for lit in clause}) == 2
+
+
 def nae_eval(f: CnfFormula, assignment: Sequence[bool]) -> bool:
     """True iff every clause has at least one true and at least one false literal."""
     if len(assignment) != f.num_vars:
         raise BadAssignment(f"assignment length {len(assignment)} vs {f.num_vars} variables")
-    for c in f.clauses:
-        vals = [_literal_value(lit, assignment) for lit in c]
-        if all(vals) or not any(vals):
-            return False
-    return True
+    return all(_nae_ok(c, assignment) for c in f.clauses)
 
 
 def nae_brute_solve(f: CnfFormula, var_limit: int = DEFAULT_VAR_LIMIT) -> Optional[tuple[bool, ...]]:
@@ -222,10 +223,10 @@ class KsFormViolation:
     clauses: Optional[tuple[int, int]] = None
 
 
-def _literal_occurrences(f: CnfFormula) -> dict[int, list[int]]:
+def _literal_occurrences(clauses: Sequence[Sequence[int]]) -> dict[int, list[int]]:
     """literal -> sorted clause indices containing it (each clause at most once)."""
     occ: dict[int, list[int]] = {}
-    for ci, c in enumerate(f.clauses):
+    for ci, c in enumerate(clauses):
         for lit in set(c):
             occ.setdefault(lit, []).append(ci)
     return occ
@@ -240,7 +241,7 @@ def validate_ks_form(f: CnfFormula) -> list[KsFormViolation]:
     missing one polarity, which the vector construction additionally needs.
     """
     violations: list[KsFormViolation] = []
-    occ = _literal_occurrences(f)
+    occ = _literal_occurrences(f.clauses)
     for v in range(1, f.num_vars + 1):
         pos, neg = len(occ.get(v, ())), len(occ.get(-v, ()))
         if pos > 2:
@@ -339,61 +340,39 @@ def nae3sat_to_ks_form(f: CnfFormula) -> tuple[CnfFormula, dict[int, VarSplit]]:
         return CnfFormula(3, _UNSAT_PATTERN), {}
     clauses, _ = expanded
 
-    def occurrence_counts(cls):
-        counts: dict[int, int] = {}
-        for c in cls:
-            for lit in c:
-                counts[abs(lit)] = counts.get(abs(lit), 0) + 1
-        return counts
-
     # Removal fixpoint: a variable occurring exactly once always lets its
     # clause be satisfied, so the clause goes (and may orphan others).
     while True:
-        counts = occurrence_counts(clauses)
-        lonely = sorted(v for v, k in counts.items() if k == 1)
+        occ = _literal_occurrences(clauses)
+        lonely = [lit for lit, cls in occ.items() if len(cls) == 1 and -lit not in occ]
         if not lonely:
             break
-        v = lonely[0]
-        clauses = [c for c in clauses if v not in {abs(l) for l in c}]
-
-    counts = occurrence_counts(clauses)
-    survivors = sorted(counts)
+        del clauses[occ[min(lonely, key=abs)][0]]
 
     next_var = 1
     varmap: dict[int, VarSplit] = {}
-    pos_queue: dict[int, list[int]] = {}
-    neg_queue: dict[int, list[int]] = {}
+    renamed: dict[tuple[int, int], int] = {}  # (clause index, literal) -> copy literal
     extra_clauses: list[tuple[int, int, int]] = []
 
-    for v in survivors:
-        n1 = sum(1 for c in clauses for lit in c if lit == v)
-        n2 = sum(1 for c in clauses for lit in c if lit == -v)
-        n = n1 + n2
+    for v in sorted({abs(lit) for lit in occ}):
+        # Positive occurrences take the first copies, negative ones the rest,
+        # each in clause order.
+        uses = [(ci, lit) for lit in (v, -v) for ci in occ.get(lit, ())]
+        n = len(uses)
         copies = list(range(next_var, next_var + n))
         next_var += n
-        n_chain = n if n % 2 == 1 else n + 1
-        n_chain = max(n_chain, 3)
+        n_chain = max(n if n % 2 == 1 else n + 1, 3)
         chain = list(range(next_var, next_var + n_chain))
         next_var += n_chain
         varmap[v] = VarSplit(tuple(copies), tuple(chain))
-        # Positive occurrences consume copies 1..n1, negative ones n1+1..n.
-        pos_queue[v] = copies[:n1]
-        neg_queue[v] = copies[n1:]
+        for x, (ci, lit) in zip(copies, uses):
+            renamed[ci, lit] = x if lit > 0 else -x
         for i in range(n):
             extra_clauses.append((copies[i], -copies[(i + 1) % n], chain[i]))
         for i in range(n_chain):
             extra_clauses.append((-chain[i], -chain[(i + 1) % n_chain], chain[(i + 2) % n_chain]))
 
-    rewritten: list[tuple[int, int, int]] = []
-    for c in clauses:
-        new_c = []
-        for lit in c:
-            if lit > 0:
-                new_c.append(pos_queue[lit].pop(0))
-            else:
-                new_c.append(-neg_queue[-lit].pop(0))
-        rewritten.append(tuple(new_c))
-
+    rewritten = [tuple(renamed[ci, lit] for lit in c) for ci, c in enumerate(clauses)]
     out = CnfFormula(next_var - 1, tuple(rewritten + extra_clauses))
     bad = validate_ks_form(out)
     if bad:
@@ -407,20 +386,17 @@ def nae3sat_to_ks_form(f: CnfFormula) -> tuple[CnfFormula, dict[int, VarSplit]]:
 
 @dataclass(frozen=True)
 class ReductionLayout:
-    """Dimension and vector bookkeeping for a constructed instance.
+    """Where a constructed instance keeps each clause, variable and literal.
 
-    Dimensions 0..num_clauses-1 belong to clauses, the rest to variables.
-    Vector 0..num_clauses-1 are the clause vectors; each literal owns a
-    quadruple of consecutive vector indices.
+    Clause j owns dimension j and vector j.  Variable v owns dimension
+    num_clauses + v - 1.  Literal +v owns the four vectors that start at
+    num_clauses + 8(v - 1), and -v owns the next four.  literal_clauses maps
+    each literal +-v to the ascending indices of the clauses containing it.
     """
 
     num_clauses: int
     num_vars: int
-    clause_dims: dict[int, int]
-    var_dims: dict[int, int]
-    clause_vecs: dict[int, int]
-    literal_vecs: dict[int, tuple[int, int, int, int]]
-    literal_clauses: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    literal_clauses: dict[int, tuple[int, ...]]
 
     @property
     def expected_dim(self) -> int:
@@ -430,6 +406,13 @@ class ReductionLayout:
     def expected_vectors(self) -> int:
         return self.num_clauses + 8 * self.num_vars
 
+    def var_dim(self, v: int) -> int:
+        return self.num_clauses + abs(v) - 1
+
+    def literal_vecs(self, lit: int) -> tuple[int, int, int, int]:
+        start = self.num_clauses + 8 * (abs(lit) - 1) + (4 if lit < 0 else 0)
+        return tuple(range(start, start + 4))
+
     def clauses(self) -> list[tuple[int, ...]]:
         """Reconstruct the clause list (literal order normalized by |literal|)."""
         out: list[list[int]] = [[] for _ in range(self.num_clauses)]
@@ -437,6 +420,13 @@ class ReductionLayout:
             for ci in cls:
                 out[ci].append(lit)
         return [tuple(sorted(c, key=abs)) for c in out]
+
+
+def _layout(f: CnfFormula) -> ReductionLayout:
+    """The layout of the instance built from a restricted-form formula."""
+    occ = _literal_occurrences(f.clauses)
+    return ReductionLayout(f.num_clauses, f.num_vars, {
+        lit: tuple(occ.get(lit, ())) for v in range(1, f.num_vars + 1) for lit in (v, -v)})
 
 
 def ks_form_to_instance(f: CnfFormula) -> tuple[Instance, ReductionLayout]:
@@ -457,39 +447,18 @@ def ks_form_to_instance(f: CnfFormula) -> tuple[Instance, ReductionLayout]:
     if f.num_clauses == 0 or f.num_vars == 0:
         raise EmptyInstance("cannot construct an instance from an empty formula")
 
-    occ = _literal_occurrences(f)
-    mc, nv = f.num_clauses, f.num_vars
-    clause_dims = {j: j for j in range(mc)}
-    var_dims = {v: mc + (v - 1) for v in range(1, nv + 1)}
-    clause_vecs = {j: j for j in range(mc)}
-    literal_vecs: dict[int, tuple[int, int, int, int]] = {}
-    literal_clauses: dict[int, tuple[int, ...]] = {}
+    layout = _layout(f)
+    mc = f.num_clauses
+    vectors = np.zeros((layout.expected_vectors, layout.expected_dim))
+    vectors[range(mc), range(mc)] = 0.5
+    for lit, cls in layout.literal_clauses.items():
+        rows = list(layout.literal_vecs(lit))
+        vectors[rows, cls[0]] = 0.25  # cls is ascending; the first is the "c_j" column
+        if len(cls) == 2:
+            vectors[rows, cls[1]] = [0.25, 0.25, -0.25, -0.25]
+        vectors[rows, layout.var_dim(lit)] = [RSQRT8, -RSQRT8, RSQRT8, -RSQRT8]
 
-    d = mc + nv
-    m = mc + 8 * nv
-    vectors = np.zeros((m, d))
-    for j in range(mc):
-        vectors[j, clause_dims[j]] = 0.5
-
-    next_vec = mc
-    for v in range(1, nv + 1):
-        for lit in (v, -v):
-            cls = tuple(occ.get(lit, ()))  # sorted ascending; first is the "c_j" column
-            literal_clauses[lit] = cls
-            quad = tuple(range(next_vec, next_vec + 4))
-            literal_vecs[lit] = quad
-            next_vec += 4
-            dx = var_dims[v]
-            signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (d^c_k sign, d^x sign) rows 1..4
-            for row, (sk, sx) in zip(quad, signs):
-                vectors[row, clause_dims[cls[0]]] = 0.25
-                if len(cls) == 2:
-                    vectors[row, clause_dims[cls[1]]] = sk * 0.25
-                vectors[row, dx] = sx * RSQRT8
-
-    layout = ReductionLayout(mc, nv, clause_dims, var_dims, clause_vecs,
-                             literal_vecs, literal_clauses)
-    inst = Instance(vectors, meta={"kind": "reduction", "clauses": mc, "vars": nv})
+    inst = Instance(vectors, meta={"kind": "reduction", "clauses": mc, "vars": f.num_vars})
     inst = validate(inst, iso_tol=1e-9)
     if inst.alpha != 0.25:
         raise InternalInvariantError(f"constructed alpha = {inst.alpha!r}, expected 0.25")
@@ -508,20 +477,14 @@ def assignment_to_subset(layout: ReductionLayout, assignment: Sequence[bool]) ->
     """
     if len(assignment) != layout.num_vars:
         raise BadAssignment(f"assignment length {len(assignment)} vs {layout.num_vars}")
-    clauses = layout.clauses()
-    true_counts = []
-    for c in clauses:
-        vals = [_literal_value(lit, assignment) for lit in c]
-        if all(vals) or not any(vals):
-            raise NotSatisfying(f"clause {c} has all-equal literal values")
-        true_counts.append(sum(vals))
     subset: list[int] = []
-    for v in range(1, layout.num_vars + 1):
-        lit = v if assignment[v - 1] else -v
-        subset.extend(layout.literal_vecs[lit])
-    for j, t in enumerate(true_counts):
-        if t == 1:
-            subset.append(layout.clause_vecs[j])
+    for j, c in enumerate(layout.clauses()):
+        if not _nae_ok(c, assignment):
+            raise NotSatisfying(f"clause {c} has all-equal literal values")
+        if sum(_literal_value(lit, assignment) for lit in c) == 1:
+            subset.append(j)
+    for v, value in enumerate(assignment, start=1):
+        subset.extend(layout.literal_vecs(v if value else -v))
     return tuple(sorted(subset))
 
 
@@ -533,24 +496,26 @@ class NotDecodable:
     reason: str
 
 
+def _quad_counts(layout: ReductionLayout, distinct: Iterable[int]) -> list[tuple[int, int]]:
+    """Per variable v, how many vectors of +v's and of -v's quadruple the indices hold."""
+    mc, end, counts = layout.num_clauses, layout.expected_vectors, [0] * (2 * layout.num_vars)
+    for i in distinct:
+        if mc <= i < end:
+            counts[(i - mc) // 4] += 1
+    return list(zip(counts[::2], counts[1::2]))
+
+
 def subset_to_assignment(layout: ReductionLayout, subset: Sequence[int]):
     """Decode a subset into an assignment, or explain why it cannot be decoded.
 
     Decodes iff every variable contributes exactly one polarity's full
     quadruple and nothing from the other; clause vectors are ignored.
     """
-    s = set(int(i) for i in subset)
-    values: list[bool] = []
-    for v in range(1, layout.num_vars + 1):
-        pos = sum(1 for i in layout.literal_vecs[v] if i in s)
-        neg = sum(1 for i in layout.literal_vecs[-v] if i in s)
-        if pos == 4 and neg == 0:
-            values.append(True)
-        elif neg == 4 and pos == 0:
-            values.append(False)
-        else:
+    counts = _quad_counts(layout, {int(i) for i in subset})
+    for v, (pos, neg) in enumerate(counts, start=1):
+        if {pos, neg} != {0, 4}:
             return NotDecodable(v, f"variable {v} has {pos}/{neg} vectors of each quadruple")
-    return tuple(values)
+    return tuple(pos == 4 for pos, _ in counts)
 
 
 # --- violation witness -------------------------------------------------------------
@@ -584,105 +549,88 @@ def find_violation(layout: ReductionLayout, inst: Instance, subset: Sequence[int
         raise LayoutMismatch(
             f"instance ({inst.num_vectors} vectors, dim {inst.dim}) vs layout "
             f"({layout.expected_vectors}, {layout.expected_dim})")
-    s = sorted(set(int(i) for i in subset))
+    s = sorted({int(i) for i in subset})
     if s and (s[0] < 0 or s[-1] >= inst.num_vectors):
         raise BadSubset(f"subset indices out of range 0..{inst.num_vectors - 1}")
     b = inst.gram(s).a
-    d = inst.dim
-
-    def axis(dim_index: int) -> np.ndarray:
-        y = np.zeros(d)
-        y[dim_index] = 1.0
-        return y
-
-    in_s = set(s)
+    y = np.zeros(inst.dim)  # the witness direction
+    counts = _quad_counts(layout, s)
 
     # Case 1: wrong per-variable vector count.
-    for v in range(1, layout.num_vars + 1):
-        count = sum(1 for i in layout.literal_vecs[v] + layout.literal_vecs[-v] if i in in_s)
-        if count != 4:
-            dx = layout.var_dims[v]
-            return Violation(axis(dx), abs(b[dx, dx] - 0.5), "variable-count", variable=v)
+    for v, (pos, neg) in enumerate(counts, start=1):
+        if pos + neg != 4:
+            dx = layout.var_dim(v)
+            y[dx] = 1.0
+            return Violation(y, abs(b[dx, dx] - 0.5), "variable-count", variable=v)
 
-    # Case 2: a literal with a strict part of its quadruple.  Among the two
-    # polarities (both are then partial) at least one occurs in exactly two
-    # clauses; its three dimension pairs contain an off-diagonal entry of
-    # magnitude >= 1/(8*sqrt(2)).
-    for v in range(1, layout.num_vars + 1):
-        pos_count = sum(1 for i in layout.literal_vecs[v] if i in in_s)
-        if pos_count % 4 == 0:
+    # Case 2: a variable whose quadruples are both partial.  At least one of
+    # its polarities occurs in exactly two clauses; that literal's three
+    # dimension pairs contain an off-diagonal entry of magnitude >= 1/(8*sqrt(2)).
+    for v, (pos, _) in enumerate(counts, start=1):
+        if pos % 4 == 0:
             continue
-        for lit in (v, -v):
-            if len(layout.literal_clauses[lit]) != 2:
-                continue
-            k = sum(1 for i in layout.literal_vecs[lit] if i in in_s)
-            if not 1 <= k <= 3:
-                continue
-            dx = layout.var_dims[v]
-            cj, ck = (layout.clause_dims[c] for c in layout.literal_clauses[lit])
-            pairs = [(dx, cj), (dx, ck), (cj, ck)]
-            d1, d2 = max(pairs, key=lambda p: abs(b[p[0], p[1]]))
-            off = b[d1, d2]
-            same_sign = np.sign(b[d1, d1] + b[d2, d2] - 1.0) == np.sign(off)
-            y = np.zeros(d)
-            y[d1] = 1.0 / math.sqrt(2.0)
-            y[d2] = (1.0 if same_sign else -1.0) / math.sqrt(2.0)
-            value = abs(float(y @ b @ y) - 0.5)
-            return Violation(y, value, "partial-quadruple", variable=v, literal=lit)
+        lit = v if len(layout.literal_clauses[v]) == 2 else -v
+        dx = layout.var_dim(v)
+        cj, ck = layout.literal_clauses[lit]
+        pairs = [(dx, cj), (dx, ck), (cj, ck)]
+        d1, d2 = max(pairs, key=lambda p: abs(b[p[0], p[1]]))
+        off = b[d1, d2]
+        same_sign = np.sign(b[d1, d1] + b[d2, d2] - 1.0) == np.sign(off)
+        y[d1] = 1.0 / math.sqrt(2.0)
+        y[d2] = (1.0 if same_sign else -1.0) / math.sqrt(2.0)
+        value = abs(float(y @ b @ y) - 0.5)
+        return Violation(y, value, "partial-quadruple", variable=v, literal=lit)
 
     # Case 3: full quadruples everywhere; decode and test each clause.
-    decoded = subset_to_assignment(layout, s)
-    if isinstance(decoded, NotDecodable):  # unreachable given cases 1-2
-        raise InternalInvariantError(f"decode failed after case analysis: {decoded.reason}")
+    decoded = tuple(pos == 4 for pos, _ in counts)
     for j, clause in enumerate(layout.clauses()):
-        vals = [_literal_value(lit, decoded) for lit in clause]
-        if all(vals) or not any(vals):
-            dc = layout.clause_dims[j]
-            return Violation(axis(dc), abs(b[dc, dc] - 0.5), "unsatisfied-clause", clause=j)
+        if not _nae_ok(clause, decoded):
+            y[j] = 1.0
+            return Violation(y, abs(b[j, j] - 0.5), "unsatisfied-clause", clause=j)
     return None
 
 
 # --- layout serialization ----------------------------------------------------------
+
+_LAYOUT_KEYS = ("num_clauses", "num_vars", "literal_clauses")
 
 
 def layout_to_json(layout: ReductionLayout) -> str:
     obj = {
         "num_clauses": layout.num_clauses,
         "num_vars": layout.num_vars,
-        "clause_dims": {str(k): v for k, v in layout.clause_dims.items()},
-        "var_dims": {str(k): v for k, v in layout.var_dims.items()},
-        "clause_vecs": {str(k): v for k, v in layout.clause_vecs.items()},
-        "literal_vecs": {str(k): list(v) for k, v in layout.literal_vecs.items()},
         "literal_clauses": {str(k): list(v) for k, v in layout.literal_clauses.items()},
     }
     return json.dumps(obj, indent=2) + "\n"
 
 
 def layout_from_json(text: str) -> ReductionLayout:
-    """Parse a layout file; LayoutMismatch unless it names every dimension and
-    vector once and every clause in exactly three literals."""
+    """Parse a layout file; LayoutMismatch unless it holds exactly the keys
+    num_clauses, num_vars and literal_clauses, its literals are exactly
+    +-1..+-num_vars, and the clauses it spells out are in restricted form."""
     obj = json.loads(text)
+    if not isinstance(obj, dict) or sorted(obj) != sorted(_LAYOUT_KEYS):
+        raise LayoutMismatch(
+            f"a layout file has exactly the keys {', '.join(_LAYOUT_KEYS)}; "
+            "re-run `ks reduce ... --layout` to regenerate one written by an older version")
+    nc, nv, lc = (obj[k] for k in _LAYOUT_KEYS)
+    if not (_is_json(nc, int) and _is_json(nv, int) and nc >= 0 and nv >= 0
+            and isinstance(lc, dict) and len(lc) == 2 * nv
+            and set(lc) == {str(lit) for v in range(1, nv + 1) for lit in (v, -v)}):
+        raise LayoutMismatch("layout literals are not exactly +-1..+-num_vars")
+    if not (all(isinstance(cls, list) and all(_is_json(j, int) and 0 <= j < nc for j in cls)
+                for cls in lc.values())
+            and sum(len(cls) for cls in lc.values()) == 3 * nc):
+        raise LayoutMismatch("layout clause lists do not name each of its clauses three times")
+    layout = ReductionLayout(nc, nv, {int(k): tuple(cls) for k, cls in lc.items()})
     try:
-        layout = ReductionLayout(
-            num_clauses=int(obj["num_clauses"]),
-            num_vars=int(obj["num_vars"]),
-            clause_dims={int(k): int(v) for k, v in obj["clause_dims"].items()},
-            var_dims={int(k): int(v) for k, v in obj["var_dims"].items()},
-            clause_vecs={int(k): int(v) for k, v in obj["clause_vecs"].items()},
-            literal_vecs={int(k): tuple(v) for k, v in obj["literal_vecs"].items()},
-            literal_clauses={int(k): tuple(v) for k, v in obj["literal_clauses"].items()},
-        )
-        dims = [*layout.clause_dims.values(), *layout.var_dims.values()]
-        vecs = [*layout.clause_vecs.values()] + [i for q in layout.literal_vecs.values() for i in q]
-        refs = [j for cls in layout.literal_clauses.values() for j in cls]
-        ok = (sorted(dims) == list(range(layout.expected_dim))
-              and sorted(vecs) == list(range(layout.expected_vectors))
-              and sorted(refs) == sorted(3 * list(range(layout.num_clauses))))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise LayoutMismatch(f"malformed layout file: {exc!r}") from exc
-    if not ok:
-        raise LayoutMismatch("layout indices do not cover its dimensions, vectors and clauses")
-    return layout
+        f = CnfFormula(nv, tuple(layout.clauses()))
+    except Not3Cnf as exc:
+        raise LayoutMismatch(f"layout clauses are not 3-literal: {exc}") from exc
+    bad = validate_ks_form(f)
+    if bad:
+        raise LayoutMismatch(f"layout clauses are not in restricted form: {bad[0].message}")
+    return _layout(f)
 
 
 def save_layout(layout: ReductionLayout, path) -> None:

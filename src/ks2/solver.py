@@ -53,8 +53,8 @@ class SolverParams:
 
     mu = epsilon/6 exactly; lam = min(c*sqrt(alpha), 1/2 - c*sqrt(alpha));
     the sparsifier delta is mu * lam, so its ridge delta/mu equals lam;
-    b = 8 ln(d)/mu^2; n = ceil(C d ln(d) ln(1/lam) / mu^2).  n_override, when
-    set, replaces n as the size-filter bound.
+    b = 8 ln(d)/mu^2; n = ceil(C d ln(d) ln(1/lam) / mu^2), the size-filter
+    bound.
     """
 
     c: float
@@ -63,16 +63,11 @@ class SolverParams:
     lam: float
     b: float
     n: int
-    n_override: Optional[int] = None
     max_level_size: Optional[int] = None
 
     @property
     def delta(self) -> float:
         return self.mu * self.lam
-
-    @property
-    def effective_n(self) -> int:
-        return self.n if self.n_override is None else self.n_override
 
 
 def derive_params(inst: Instance, c: float, epsilon: float,
@@ -147,7 +142,6 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
         inst = validate(inst)
     params = params_override if params_override is not None else derive_params(inst, c, epsilon)
     c, epsilon = params.c, params.epsilon  # override wins when both are given
-    n_cap = params.effective_n
     m = inst.num_vectors
     stats = SolveStats(peak_level_size=1)
     ca = c * math.sqrt(inst.alpha)
@@ -160,7 +154,7 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
     counts = np.zeros(1, dtype=np.int64)
     hashes = np.array([root.ledger_hash], dtype=np.uint64)
     for i in range(m):
-        alive = counts <= n_cap
+        alive = counts <= params.n
         stats.size_filtered += int(np.count_nonzero(~alive))
         members, sums, counts, hashes = members[alive], sums[alive], counts[alive], hashes[alive]
         stats.levels_processed += 1

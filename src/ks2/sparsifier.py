@@ -20,7 +20,7 @@ import numpy as np
 
 from . import prng
 from .errors import BadParams, DegenerateDimension, InvalidVector
-from .linalg import SymMatrix, spd_solve, spd_solve_stack
+from .linalg import SymMatrix, spd_solve_stack
 
 # Root value for the incremental ledger hash of an empty ledger.
 EMPTY_LEDGER_HASH = prng.mix64(0x4B53325F4C454447)
@@ -78,20 +78,14 @@ def _check_vector(state: SparsifierState, v) -> np.ndarray:
 def sample_probability(state: SparsifierState, v) -> float:
     """min(b (1 + mu) v^T (B + (delta/mu) I)^{-1} v, 1) with b = 8 ln(d)/mu^2."""
     v = _check_vector(state, v)
-    d = state.dim
-    if d < 2:
-        raise DegenerateDimension("sampling budget b = 8 ln(d)/mu^2 vanishes for d = 1")
-    b = 8.0 * math.log(d) / state.mu**2
-    quad = float(v @ spd_solve(state.b, state.shift, v))
-    return min(b * (1.0 + state.mu) * quad, 1.0)
+    return float(stack_probabilities(state.b.a[None], state.mu, state.shift, v)[0])
 
 
 def stack_probabilities(sums: np.ndarray, mu: float, shift: float, v: np.ndarray) -> np.ndarray:
-    """sample_probability for every sum B of an (L, d, d) stack sharing mu and shift.
+    """The sampling probability for every sum B of an (L, d, d) stack sharing mu and shift.
 
-    One batched shifted solve; each value is bit-identical to
-    sample_probability on a state holding that B.  Like that function, it
-    raises on d = 1 only when some probability is asked for.
+    One batched shifted solve; sample_probability is this on a stack of one.
+    Raises on d = 1 only when some probability is asked for.
     """
     d = sums.shape[-1]
     if d < 2 and len(sums):

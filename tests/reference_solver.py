@@ -57,7 +57,6 @@ def reference_solve(inst: Instance, c: float, epsilon: float, seed: int,
         inst = validate(inst)
     params = params_override if params_override is not None else derive_params(inst, c, epsilon)
     c, epsilon = params.c, params.epsilon
-    n_cap = params.effective_n
     m = inst.num_vectors
     stats = SolveStats()
     ca = c * math.sqrt(inst.alpha)
@@ -67,7 +66,7 @@ def reference_solve(inst: Instance, c: float, epsilon: float, seed: int,
     level = [LevelEntry((), new_state(inst.dim, params.mu, params.delta))]
     stats.peak_level_size = 1
     for i in range(m):
-        survivors = [e for e in level if e.state.sample_count <= n_cap]
+        survivors = [e for e in level if e.state.sample_count <= params.n]
         stats.size_filtered += len(level) - len(survivors)
         stats.levels_processed += 1
         results = [_process_entry(inst, e, i, lo_bound, hi_bound, seed, force_sample)

@@ -87,9 +87,9 @@ def test_criterion_04_off_diagonal_table():
     t0 = time.time()
     inst, layout = ks_form_to_instance(F_UNSAT4)
     lit = 1  # appears in two clauses
-    quad = layout.literal_vecs[lit]
-    cj, ck = (layout.clause_dims[c] for c in layout.literal_clauses[lit])
-    dx = layout.var_dims[abs(lit)]
+    quad = layout.literal_vecs(lit)
+    cj, ck = layout.literal_clauses[lit]
+    dx = layout.var_dim(abs(lit))
     inv_4r2 = 1.0 / (4.0 * math.sqrt(2.0))
     rows = {
         (0,): (INV_8R2, INV_8R2, 1 / 16), (0, 1): (0.0, 0.0, 1 / 8),
@@ -237,7 +237,7 @@ def test_criterion_10_power_set_harness(forced_sampling):
     for counts in [(4, 4), (5, 6)]:  # m = 9 and m = 12
         inst = axes_instance(counts)
         m = inst.num_vectors
-        params = dataclasses.replace(derive_params(inst, 0.1, 0.1), n_override=m + 1)
+        params = dataclasses.replace(derive_params(inst, 0.1, 0.1), n=m + 1)
         out = solve(inst, 0.1, 0.1, seed=0, params_override=params, collect_subsets=True)
         got = {frozenset(s) for s in out.final_subsets}
         want = {frozenset(c) for r in range(m + 1)

@@ -1,10 +1,15 @@
+import functools
 import json
+import operator
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ks2 import cli
 from ks2.cli import main
-from ks2.reduction import F_SAT3, F_UNSAT4, emit_dimacs
+from ks2.instance import instance_to_json
+from ks2.reduction import F_SAT3, F_UNSAT4, emit_dimacs, ks_form_to_instance, layout_to_json
 
 
 def run(capsys, *argv):
@@ -195,7 +200,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("text", [
         '{"vectors": [[1.0, 0.0], [0.0, 1.0]]}',
         '{"d": 2, "vectors": [[1.0, 0.0], [0.0]]}',
-    ], ids=["missing-d", "ragged-rows"])
+        '{"d": 1, "vectors": [[1' + '0' * 400 + ']]}',
+    ], ids=["missing-d", "ragged-rows", "huge-integer"])
     def test_malformed_instance(self, tmp_path, capsys, text):
         path = tmp_path / "inst.json"
         path.write_text(text)
@@ -203,9 +209,11 @@ class TestMalformedInput:
         assert code == 2 and res is None
 
     @pytest.mark.parametrize("mutate", [
-        lambda obj: obj.pop("var_dims"),
-        lambda obj: obj["var_dims"].update({"1": -1}),
-    ], ids=["missing-key", "negative-dim"])
+        lambda obj: obj.pop("literal_clauses"),
+        lambda obj: obj["literal_clauses"]["1"].__setitem__(0, -1),
+        lambda obj: obj.update(var_dims={"1": 4, "2": 5, "3": 6}),
+        lambda obj: obj["literal_clauses"].update({"99": obj["literal_clauses"].pop("1")}),
+    ], ids=["missing-key", "negative-clause-index", "legacy-key", "renamed-literal"])
     def test_malformed_layout(self, tmp_path, capsys, mutate):
         cnf = tmp_path / "f.cnf"
         cnf.write_text(emit_dimacs(F_UNSAT4))
@@ -238,3 +246,98 @@ class TestMalformedInput:
                   "--threads", "1"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+# --- exit-code contract under mutated input files ------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+KEYS = st.sampled_from(["d", "vectors", "meta", "num_clauses", "num_vars", "literal_clauses",
+                        "var_dims", "literal_vecs", "1", "-1", "99", "0"]) | st.text(max_size=4)
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, text):
+    """A file's bytes after a few drawn edits: JSON values replaced, deleted or
+    renamed somewhere inside the document, or raw bytes overwritten."""
+    if draw(st.booleans()):
+        raw = text.encode()
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + draw(st.binary(max_size=4)) + raw[at + draw(st.integers(0, 4)):]
+    doc = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON_VALUES)
+            continue
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        op = draw(st.sampled_from(["replace", "delete", "rename"]))
+        if op == "replace":
+            parent[path[-1]] = draw(JSON_VALUES)
+        elif op == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(KEYS)] = parent.pop(path[-1])
+    return json.dumps(doc).encode()
+
+
+def _edited(text, edit):
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+_UNSAT4_INSTANCE, _UNSAT4_LAYOUT = ks_form_to_instance(F_UNSAT4)
+INSTANCE_TEXT = instance_to_json(_UNSAT4_INSTANCE)
+LAYOUT_TEXT = layout_to_json(_UNSAT4_LAYOUT)
+
+
+class TestExitCodeContract:
+    """Mutated instance and layout files never crash `ks check`: the exit code
+    is 0, 1 or 2, exits 0 and 1 print one JSON object, exit 2 prints no traceback."""
+
+    def _check(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (code, captured.out, captured.err)
+        if code in (0, 1):
+            lines = captured.out.strip().splitlines()
+            assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), captured.out
+        else:
+            assert "Traceback" not in captured.err, captured.err
+
+    def _files(self, tmp_path, instance=INSTANCE_TEXT.encode(), layout=LAYOUT_TEXT.encode()):
+        paths = [tmp_path / name for name in ("inst.json", "layout.json", "s.json")]
+        for path, content in zip(paths, (instance, layout, b"[0, 4, 5]\n")):
+            path.write_bytes(content)
+        return [str(path) for path in paths]
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated(INSTANCE_TEXT))
+    @example(_edited(INSTANCE_TEXT, lambda doc: doc["vectors"][0].__setitem__(0, 10**400)))
+    def test_mutated_instance(self, capsys, tmp_path, content):
+        inst, layout, subset = self._files(tmp_path, instance=content)
+        self._check(capsys, ["check", "instance", inst])
+        self._check(capsys, ["check", "violation", inst, "--layout", layout, "--subset", subset])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated(LAYOUT_TEXT))
+    @example(_edited(LAYOUT_TEXT, lambda doc: doc["literal_clauses"].update(
+        {"99": doc["literal_clauses"].pop("1")})))
+    def test_mutated_layout(self, capsys, tmp_path, content):
+        inst, layout, subset = self._files(tmp_path, layout=content)
+        self._check(capsys, ["check", "violation", inst, "--layout", layout, "--subset", subset])

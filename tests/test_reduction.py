@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -212,10 +213,10 @@ class TestStage2:
         inst, layout = fsat3_built
         norms = (inst.vectors ** 2).sum(axis=1)
         for j in range(layout.num_clauses):
-            assert norms[layout.clause_vecs[j]] == 0.25
-        for lit, quad in layout.literal_vecs.items():
+            assert norms[j] == 0.25
+        for lit in layout.literal_clauses:
             expected = 0.25 if len(layout.literal_clauses[lit]) == 2 else 3.0 / 16.0
-            for i in quad:
+            for i in layout.literal_vecs(lit):
                 assert norms[i] == pytest.approx(expected, abs=1e-15)
 
     def test_random_forms_isotropic(self):
@@ -249,6 +250,29 @@ class TestStage2:
         back = layout_from_json(layout_to_json(layout))
         assert back == layout
 
+    def test_layout_file_must_spell_a_restricted_form(self, funsat4_built):
+        _, layout = funsat4_built
+        good = json.loads(layout_to_json(layout))
+        legacy = dict(good, var_dims={str(v): layout.var_dim(v) for v in (1, 2, 3)})
+        with pytest.raises(LayoutMismatch, match="ks reduce"):
+            layout_from_json(json.dumps(legacy))
+        for key in ("99", "x"):
+            renamed = json.loads(json.dumps(good))
+            renamed["literal_clauses"][key] = renamed["literal_clauses"].pop("1")
+            with pytest.raises(LayoutMismatch, match="literals"):
+                layout_from_json(json.dumps(renamed))
+        # Moving literal 3 from clause 1 to clause 2 leaves clauses of 2 and 4 literals.
+        four = json.loads(json.dumps(good))
+        four["literal_clauses"]["3"] = [0, 2]
+        with pytest.raises(LayoutMismatch, match="3-literal"):
+            layout_from_json(json.dumps(four))
+        # Swapping the clauses of 2 and -2 makes clauses 0 and 2 share 1 and -2.
+        shared = json.loads(json.dumps(good))
+        lc = shared["literal_clauses"]
+        lc["2"], lc["-2"] = [1, 3], [0, 2]
+        with pytest.raises(LayoutMismatch, match="restricted form"):
+            layout_from_json(json.dumps(shared))
+
 
 class TestAssignmentMaps:
     def test_satisfying_assignment_exact_half(self, fsat3_built):
@@ -273,7 +297,7 @@ class TestAssignmentMaps:
     def test_partial_quadruple_not_decodable(self, fsat3_built):
         _, layout = fsat3_built
         s = assignment_to_subset(layout, (True, False, True))
-        broken = tuple(sorted(set(s) - {layout.literal_vecs[1][0]}))
+        broken = tuple(sorted(set(s) - {layout.literal_vecs(1)[0]}))
         out = subset_to_assignment(layout, broken)
         assert isinstance(out, NotDecodable)
         assert out.variable == 1
@@ -294,20 +318,20 @@ class TestFindViolation:
         # Vectors 1 and 3 of a two-clause literal leave a 1/(4*sqrt(2))
         # off-diagonal between the variable dimension and its first clause.
         inst, layout = funsat4_built
-        quad_pos, quad_neg = layout.literal_vecs[1], layout.literal_vecs[-1]
+        quad_pos, quad_neg = layout.literal_vecs(1), layout.literal_vecs(-1)
         s = (quad_pos[0], quad_pos[2], quad_neg[0], quad_neg[1]) \
-            + layout.literal_vecs[2] + layout.literal_vecs[3]
+            + layout.literal_vecs(2) + layout.literal_vecs(3)
         v = find_violation(layout, inst, s)
         assert v.kind == "partial-quadruple"
         b = inst.gram(s).a
-        dx, dc = layout.var_dims[1], layout.clause_dims[layout.literal_clauses[1][0]]
+        dx, dc = layout.var_dim(1), layout.literal_clauses[1][0]
         assert abs(b[dx, dc]) == pytest.approx(INV_4R2, abs=1e-15)
         assert v.value >= INV_8R2 - 1e-9
 
     def test_unsatisfied_clause_case(self, funsat4_built):
         inst, layout = funsat4_built
         # Full quadruples, all-true assignment: cannot NAE-satisfy anything.
-        s = layout.literal_vecs[1] + layout.literal_vecs[2] + layout.literal_vecs[3]
+        s = layout.literal_vecs(1) + layout.literal_vecs(2) + layout.literal_vecs(3)
         v = find_violation(layout, inst, s)
         assert v.kind == "unsatisfied-clause"
         assert v.value >= 0.25 - 1e-12
@@ -351,9 +375,9 @@ def test_off_diagonal_table_rows(funsat4_built, rows, expected):
     """Each pattern of present quadruple vectors leaves the tabulated entries."""
     inst, layout = funsat4_built
     lit = 1  # appears in clauses 0 and 2
-    quad = layout.literal_vecs[lit]
-    cj, ck = (layout.clause_dims[c] for c in layout.literal_clauses[lit])
-    dx = layout.var_dims[abs(lit)]
+    quad = layout.literal_vecs(lit)
+    cj, ck = layout.literal_clauses[lit]
+    dx = layout.var_dim(abs(lit))
     b = inst.gram([quad[r] for r in rows]).a
     got = (abs(b[dx, cj]), abs(b[dx, ck]), abs(b[cj, ck]))
     assert got == pytest.approx(expected, abs=1e-12)
@@ -361,9 +385,9 @@ def test_off_diagonal_table_rows(funsat4_built, rows, expected):
 
 def test_off_diagonal_table_all_singletons_and_triples(funsat4_built):
     inst, layout = funsat4_built
-    quad = layout.literal_vecs[1]
-    cj, ck = (layout.clause_dims[c] for c in layout.literal_clauses[1])
-    dx = layout.var_dims[1]
+    quad = layout.literal_vecs(1)
+    cj, ck = layout.literal_clauses[1]
+    dx = layout.var_dim(1)
     for rows in itertools.chain(itertools.combinations(range(4), 1),
                                 itertools.combinations(range(4), 3)):
         b = inst.gram([quad[r] for r in rows]).a

@@ -92,9 +92,9 @@ class TestSolve:
         assert exc.value.stats is not None
 
     def test_size_filter_accounting(self, stress_notfound):
-        # n_override = 0 drops every entry that sampled anything.
+        # n = 0 drops every entry that sampled anything.
         params = dataclasses.replace(
-            derive_params(stress_notfound, 0.1, 0.1), n_override=0)
+            derive_params(stress_notfound, 0.1, 0.1), n=0)
         out = solve(stress_notfound, 0.1, 0.1, seed=2, params_override=params)
         assert not out.found
         assert out.stats.size_filtered > 0
@@ -104,7 +104,7 @@ class TestSolve:
         # subset as a representative (none satisfies the band here).
         inst = stress_instance(1)  # m = 5
         m = inst.num_vectors
-        params = dataclasses.replace(derive_params(inst, 0.1, 0.1), n_override=m + 1)
+        params = dataclasses.replace(derive_params(inst, 0.1, 0.1), n=m + 1)
         out = solve(inst, 0.1, 0.1, seed=0, params_override=params, collect_subsets=True)
         assert not out.found
         got = {frozenset(s) for s in out.final_subsets}
@@ -127,7 +127,7 @@ def _with(inst, c, epsilon, **changes):
 
 def _power_set_case(pairs):
     inst = stress_instance(pairs)
-    return inst, dict(params_override=_with(inst, 0.1, 0.1, n_override=inst.num_vectors + 1))
+    return inst, dict(params_override=_with(inst, 0.1, 0.1, n=inst.num_vectors + 1))
 
 
 def _d1_case():
@@ -144,7 +144,7 @@ REFERENCE_CASES = {
     "power-set-1": (lambda: _power_set_case(1), 0.1, 0.1, 0),
     "power-set-2": (lambda: _power_set_case(2), 0.1, 0.1, 0),
     "n-override-0": (lambda: (stress_instance(2), dict(
-        params_override=_with(stress_instance(2), 0.1, 0.1, n_override=0))), 0.1, 0.1, 2),
+        params_override=_with(stress_instance(2), 0.1, 0.1, n=0))), 0.1, 0.1, 2),
     "level-cap-4": (lambda: (stress_instance(2), dict(
         params_override=_with(stress_instance(2), 0.1, 0.1, max_level_size=4))), 0.1, 0.1, 1),
     "d1-degenerate": (_d1_case, 0.1, 0.3, 0),
