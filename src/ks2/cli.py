@@ -173,6 +173,13 @@ def _cmd_check(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ks", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -209,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("instance")
     o.add_argument("--c", type=float)
     o.add_argument("--m-limit", type=int, default=oracle_mod.DEFAULT_M_LIMIT)
-    o.add_argument("--threads", type=int, default=1)
+    o.add_argument("--threads", type=_positive_int, default=1)
     o.add_argument("--mode", choices=["exhaustive", "branch-bound"], default="exhaustive")
     o.add_argument("--node-limit", type=int, help="branch-bound: stop after this many nodes")
     o.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import prng
-from .errors import BadSubset, DegenerateSample, EmptyInstance, NotIsotropic
+from .errors import BadSubset, DegenerateSample, EmptyInstance, KsError, NotIsotropic
 from .linalg import SymMatrix, eig_extremes, eig_extremes_stack, inv_sqrt, spectral_distance_half
 
 DEFAULT_ISO_TOL = 1e-8
@@ -229,8 +229,16 @@ def _is_json(x, kind) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def _parse_json(text: str, error: type[KsError]):
+    """json.loads(text), raising error for nesting too deep to parse: bad input, not a crash."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise error("JSON nested too deeply to parse") from exc
+
+
 def instance_from_json(text: str) -> Instance:
-    obj = json.loads(text)
+    obj = _parse_json(text, EmptyInstance)
     if not isinstance(obj, dict) or not _is_json(obj.get("d"), int):
         raise EmptyInstance('an instance file is an object with an integer "d"')
     d, rows = obj["d"], obj.get("vectors")
@@ -263,7 +271,7 @@ def save_subset(subset: Sequence[int], path) -> None:
 
 def load_subset(path) -> list[int]:
     with open(path) as fh:
-        data = json.load(fh)
+        data = _parse_json(fh.read(), BadSubset)
     if not isinstance(data, list) or not all(_is_json(i, int) for i in data):
         raise BadSubset("a subset file is a JSON array of integer indices")
     return data

@@ -1,11 +1,12 @@
 """Ground-truth discrepancy by exhaustive subset enumeration.
 
 W(inst) is the minimum over all 2^m subsets S of the worst-direction
-deviation of A_S = sum_{i in S} v_i v_i^T from I/2.  The walk visits
-subsets in binary-reflected Gray-code order so each step is a rank-1
-update; matrices are buffered in chunks and sent to a single batched
-eigenvalue call, and every chunk restarts its accumulator from a
-from-scratch sum so rounding drift cannot build up across the walk.
+deviation of A_S = sum_{i in S} v_i v_i^T from I/2.  Subset t is the
+bitmask t.  Doubling builds two tables of subset sums, one for the first
+_LOW_BITS vectors and one for the rest; chunk h, every low sum plus high
+sum h, costs one broadcast add and one stacked eigensolve.  Each matrix is
+a sum of at most m outer products, so no rounding drift builds up, and the
+argmin is the earliest minimum in binary order.
 
 A branch-and-bound variant prunes a partial choice over indices < i when
 even the best completion cannot beat the incumbent: any completion A_S
@@ -41,7 +42,7 @@ from .instance import Instance, subset_distance
 from .linalg import distance_half, eig_extremes_stack
 
 DEFAULT_M_LIMIT = 24
-_CHUNK = 1 << 14
+_LOW_BITS = 14  # vectors in the low table: 2^14 matrices per eigensolve
 _BLOCK = 128  # nodes per branch-and-bound block
 
 
@@ -65,62 +66,40 @@ class OracleResult:
         return d
 
 
-def gray_code(k: int) -> int:
-    return k ^ (k >> 1)
-
-
-def gray_subset(k: int) -> tuple[int, ...]:
-    """Subset of indices encoded by the k-th Gray code."""
-    g = gray_code(k)
-    out = []
-    j = 0
-    while g:
-        if g & 1:
-            out.append(j)
-        g >>= 1
-        j += 1
-    return tuple(out)
-
-
-def _chunk_min(inst: Instance, outers: np.ndarray, k0: int, k1: int) -> tuple[float, int]:
-    """Minimum (deviation, gray index) over subsets k0 <= k < k1."""
-    count = k1 - k0
-    a0 = inst.gram(gray_subset(k0)).a
-    mats = np.empty((count,) + a0.shape)
-    mats[0] = a0
-    if count > 1:
-        ks = np.arange(k0 + 1, k1, dtype=np.int64)
-        low = ks & -ks
-        flips = np.log2(low.astype(np.float64)).astype(np.int64)
-        g = ks ^ (ks >> 1)
-        on = ((g >> flips) & 1).astype(np.float64)
-        signs = 2.0 * on - 1.0
-        deltas = signs[:, None, None] * outers[flips]
-        mats[1:] = a0 + np.cumsum(deltas, axis=0)
-    dev = distance_half(*eig_extremes_stack(mats))
-    t = int(np.argmin(dev))
-    return float(dev[t]), k0 + t
+def _subset_sums(outers: np.ndarray) -> np.ndarray:
+    """Every subset sum of a (k, d, d) stack: row t sums the outers[j] with bit j of t set."""
+    sums = np.zeros((1,) + outers.shape[1:])
+    for outer in outers:
+        sums = np.concatenate((sums, sums + outer))
+    return sums
 
 
 def brute_force_w(inst: Instance, m_limit: int = DEFAULT_M_LIMIT,
                   threads: int = 1) -> OracleResult:
-    """Exact W by full enumeration of all 2^m subsets."""
+    """Exact W by full enumeration of all 2^m subsets; threads maps the chunks over a pool."""
     m = inst.num_vectors
     if m > m_limit:
         raise TooLarge(f"m = {m} exceeds m_limit = {m_limit}")
     if m > DEFAULT_M_LIMIT:
         warnings.warn(f"enumerating 2^{m} subsets; this may take a while", RuntimeWarning)
-    total = 1 << m
     vectors = inst.vectors
-    outers = np.einsum("ij,ik->ijk", vectors, vectors)
-    ranges = [(k0, min(k0 + _CHUNK, total)) for k0 in range(0, total, _CHUNK)]
+    outers = vectors[:, :, None] * vectors[:, None, :]
+    low = _subset_sums(outers[:_LOW_BITS])
+    high = _subset_sums(outers[_LOW_BITS:])
+
+    def chunk_min(h: int) -> tuple[float, int]:
+        dev = distance_half(*eig_extremes_stack(low + high[h]))
+        t = int(np.argmin(dev))
+        return float(dev[t]), h * len(low) + t
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: _chunk_min(inst, outers, *r), ranges))
+            parts = list(pool.map(chunk_min, range(len(high))))
     else:
-        parts = [_chunk_min(inst, outers, *r) for r in ranges]
-    subset = gray_subset(min(parts, key=lambda t: (t[0], t[1]))[1])
-    return OracleResult(subset_distance(inst, subset), subset, total)
+        parts = [chunk_min(h) for h in range(len(high))]
+    best = min(parts)[1]
+    subset = tuple(j for j in range(m) if best >> j & 1)
+    return OracleResult(subset_distance(inst, subset), subset, 1 << m)
 
 
 def with_threshold(inst: Instance, res: OracleResult, c: float) -> OracleResult:

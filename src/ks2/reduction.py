@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .instance import Instance, _is_json, validate
+from .instance import Instance, _is_json, _parse_json, validate
 
 # Variable-dimension magnitude for literal vectors.  This is the double just
 # below 2^-1.5, so a literal vector's squared norm never exceeds 1/4 in
@@ -608,7 +608,7 @@ def layout_from_json(text: str) -> ReductionLayout:
     """Parse a layout file; LayoutMismatch unless it holds exactly the keys
     num_clauses, num_vars and literal_clauses, its literals are exactly
     +-1..+-num_vars, and the clauses it spells out are in restricted form."""
-    obj = json.loads(text)
+    obj = _parse_json(text, LayoutMismatch)
     if not isinstance(obj, dict) or sorted(obj) != sorted(_LAYOUT_KEYS):
         raise LayoutMismatch(
             f"a layout file has exactly the keys {', '.join(_LAYOUT_KEYS)}; "

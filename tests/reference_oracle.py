@@ -1,12 +1,13 @@
 """One-subset-at-a-time references for ks2.oracle (test-only).
 
-reference_brute_force_w evaluates every subset through the scalar
-eigenvalue kernel; it audits the batched Gray walk and is only sensible
-for small m.  reference_branch_bound_w is the branch-and-bound search as it
-was before nodes were expanded in blocks: one node per pop, two
-eigensolves per internal node.  The tests compare the blocked search's
-minimum against it bit for bit.  Both return the accumulated minimum, not
-the from-scratch w that ks2.oracle reports.
+reference_brute_force_w evaluates every subset, in binary order, through
+the scalar eigenvalue kernel on a from-scratch sum; it audits the batched
+subset-sum tables and is only sensible for small m.
+reference_branch_bound_w is the branch-and-bound search as it was before
+nodes were expanded in blocks: one node per pop, two eigensolves per
+internal node.  The tests compare the blocked search's minimum against it
+bit for bit.  Both return the accumulated minimum, not the from-scratch w
+that ks2.oracle reports.
 """
 from __future__ import annotations
 
@@ -17,17 +18,22 @@ import numpy as np
 from ks2.errors import TooLarge
 from ks2.instance import Instance
 from ks2.linalg import spectral_distance_half
-from ks2.oracle import OracleResult, gray_subset
+from ks2.oracle import OracleResult
+
+
+def bits(t: int, m: int) -> tuple[int, ...]:
+    """The subset that bitmask t encodes: index j is in it when bit j of t is set."""
+    return tuple(j for j in range(m) if t >> j & 1)
 
 
 def reference_brute_force_w(inst: Instance) -> OracleResult:
-    total = 1 << inst.num_vectors
-    best_w, best_k = np.inf, 0
-    for k in range(total):
-        w = spectral_distance_half(inst.gram(gray_subset(k)))
+    m = inst.num_vectors
+    best_w, best_t = np.inf, 0
+    for t in range(1 << m):
+        w = spectral_distance_half(inst.gram(bits(t, m)))
         if w < best_w:
-            best_w, best_k = w, k
-    return OracleResult(best_w, gray_subset(best_k), total)
+            best_w, best_t = w, t
+    return OracleResult(best_w, bits(best_t, m), 1 << m)
 
 
 def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -> OracleResult:

@@ -230,6 +230,32 @@ class TestMalformedInput:
                         "--layout", str(layout), "--subset", str(subset))
         assert code == 2 and res is None
 
+    @pytest.mark.parametrize("kind", ["instance", "subset", "layout"])
+    def test_deeply_nested_json(self, tmp_path, capsys, kind):
+        inst, layout, subset = (tmp_path / name for name in ("inst.json", "layout.json", "s.json"))
+        inst.write_text(INSTANCE_TEXT)
+        layout.write_text(LAYOUT_TEXT)
+        subset.write_text(SUBSET_TEXT)
+        {"instance": inst, "subset": subset, "layout": layout}[kind].write_text(DEEP_JSON)
+        argv = {"instance": ["check", "instance", str(inst)],
+                "subset": ["verify", str(inst), "--subset", str(subset),
+                           "--c", "0.1", "--epsilon", "0.3"],
+                "layout": ["check", "violation", str(inst), "--layout", str(layout),
+                           "--subset", str(subset)]}[kind]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_oracle_threads_below_one(self, tmp_path, capsys, threads):
+        inst = tmp_path / "inst.json"
+        inst.write_text(INSTANCE_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", str(inst), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_crash_is_internal_error(self, tmp_path, capsys, monkeypatch):
         def crash(args):
             raise RuntimeError("boom")
@@ -268,14 +294,18 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
+def _overwrite(draw, text):
+    raw = text.encode()
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + draw(st.binary(max_size=4)) + raw[at + draw(st.integers(0, 4)):]
+
+
 @st.composite
 def mutated(draw, text):
     """A file's bytes after a few drawn edits: JSON values replaced, deleted or
     renamed somewhere inside the document, or raw bytes overwritten."""
     if draw(st.booleans()):
-        raw = text.encode()
-        at = draw(st.integers(0, len(raw)))
-        return raw[:at] + draw(st.binary(max_size=4)) + raw[at + draw(st.integers(0, 4)):]
+        return _overwrite(draw, text)
     doc = json.loads(text)
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
@@ -293,6 +323,42 @@ def mutated(draw, text):
     return json.dumps(doc).encode()
 
 
+TOKENS = st.integers(-4, 4).map(str) | st.sampled_from(["p", "cnf", "c", "-0", "1e3"]) \
+    | st.text(max_size=3)
+
+
+@st.composite
+def mutated_dimacs(draw, text):
+    """DIMACS bytes after a few drawn edits: tokens replaced or deleted, lines
+    deleted or repeated (then, half the time, the header's clause count set to
+    match), or raw bytes overwritten."""
+    if draw(st.booleans()):
+        return _overwrite(draw, text)
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        row = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["replace", "replace", "delete-token", "delete-line",
+                                   "repeat-line"]))
+        if op == "delete-line":
+            del lines[row]
+        elif op == "repeat-line":
+            lines.insert(row, list(lines[row]))
+        elif lines[row]:
+            col = draw(st.integers(0, len(lines[row]) - 1))
+            if op == "replace":
+                lines[row][col] = draw(TOKENS)
+            else:
+                del lines[row][col]
+    if draw(st.booleans()):
+        ends = sum(tok == "0" for line in lines if line[:1] != ["p"] for tok in line)
+        for line in lines:
+            if line[:2] == ["p", "cnf"] and len(line) == 4:
+                line[3] = str(ends)
+    return "\n".join(" ".join(line) for line in lines).encode() + b"\n"
+
+
 def _edited(text, edit):
     doc = json.loads(text)
     edit(doc)
@@ -302,11 +368,16 @@ def _edited(text, edit):
 _UNSAT4_INSTANCE, _UNSAT4_LAYOUT = ks_form_to_instance(F_UNSAT4)
 INSTANCE_TEXT = instance_to_json(_UNSAT4_INSTANCE)
 LAYOUT_TEXT = layout_to_json(_UNSAT4_LAYOUT)
+SUBSET_TEXT = "[0, 4, 5]\n"
+DIMACS_TEXT = emit_dimacs(F_UNSAT4)
+# Nested deeper than the interpreter's recursion limit, so json.loads raises RecursionError.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 class TestExitCodeContract:
-    """Mutated instance and layout files never crash `ks check`: the exit code
-    is 0, 1 or 2, exits 0 and 1 print one JSON object, exit 2 prints no traceback."""
+    """Mutated instance, layout, subset and DIMACS files never crash `ks`: the
+    exit code is 0, 1 or 2, exits 0 and 1 print one JSON object, exit 2 prints
+    no traceback."""
 
     def _check(self, capsys, argv):
         code = main(argv)
@@ -318,9 +389,10 @@ class TestExitCodeContract:
         else:
             assert "Traceback" not in captured.err, captured.err
 
-    def _files(self, tmp_path, instance=INSTANCE_TEXT.encode(), layout=LAYOUT_TEXT.encode()):
+    def _files(self, tmp_path, instance=INSTANCE_TEXT.encode(), layout=LAYOUT_TEXT.encode(),
+               subset=SUBSET_TEXT.encode()):
         paths = [tmp_path / name for name in ("inst.json", "layout.json", "s.json")]
-        for path, content in zip(paths, (instance, layout, b"[0, 4, 5]\n")):
+        for path, content in zip(paths, (instance, layout, subset)):
             path.write_bytes(content)
         return [str(path) for path in paths]
 
@@ -328,6 +400,7 @@ class TestExitCodeContract:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(mutated(INSTANCE_TEXT))
     @example(_edited(INSTANCE_TEXT, lambda doc: doc["vectors"][0].__setitem__(0, 10**400)))
+    @example(DEEP_JSON.encode())
     def test_mutated_instance(self, capsys, tmp_path, content):
         inst, layout, subset = self._files(tmp_path, instance=content)
         self._check(capsys, ["check", "instance", inst])
@@ -338,6 +411,27 @@ class TestExitCodeContract:
     @given(mutated(LAYOUT_TEXT))
     @example(_edited(LAYOUT_TEXT, lambda doc: doc["literal_clauses"].update(
         {"99": doc["literal_clauses"].pop("1")})))
+    @example(DEEP_JSON.encode())
     def test_mutated_layout(self, capsys, tmp_path, content):
         inst, layout, subset = self._files(tmp_path, layout=content)
         self._check(capsys, ["check", "violation", inst, "--layout", layout, "--subset", subset])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated(SUBSET_TEXT))
+    @example(DEEP_JSON.encode())
+    def test_mutated_subset(self, capsys, tmp_path, content):
+        inst, layout, subset = self._files(tmp_path, subset=content)
+        self._check(capsys, ["verify", inst, "--subset", subset, "--c", "0.1", "--epsilon", "0.3"])
+        self._check(capsys, ["check", "violation", inst, "--layout", layout, "--subset", subset])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_dimacs(DIMACS_TEXT))
+    def test_mutated_dimacs(self, capsys, tmp_path, content):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_bytes(content)
+        self._check(capsys, ["check", "ksform", str(cnf)])
+        self._check(capsys, ["check", "nae", str(cnf)])
+        self._check(capsys, ["reduce", "sat2ks", str(cnf), "--out", str(tmp_path / "out.json"),
+                             "--layout", str(tmp_path / "layout.json")])

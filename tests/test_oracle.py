@@ -2,46 +2,40 @@ import numpy as np
 import pytest
 
 from ks2 import Instance, gen_planted, gen_random, subset_distance, validate
+from ks2 import oracle as oracle_mod
 from ks2.errors import TooLarge
 from ks2.oracle import (
     _bb_search,
+    _subset_sums,
     branch_bound_w,
     brute_force_w,
-    gray_code,
-    gray_subset,
     with_threshold,
 )
 
 from conftest import random_rotation
-from reference_oracle import reference_branch_bound_w, reference_brute_force_w
+from reference_oracle import bits, reference_branch_bound_w, reference_brute_force_w
 
 
-class TestGrayWalk:
-    def test_gray_subset_matches_code_bits(self):
-        for k in (0, 1, 5, 100, 2**15 - 1):
-            g = gray_code(k)
-            assert gray_subset(k) == tuple(j for j in range(20) if (g >> j) & 1)
-
-    def test_incremental_matches_scratch_at_checkpoints(self):
-        # Walk 2^16 subsets keeping A_S by rank-1 flips; compare against a
-        # from-scratch sum at 10,000 seeded checkpoints.
-        inst = gen_random(4, 16, seed=21)
+class TestSubsetSumTable:
+    def test_rows_are_from_scratch_grams(self):
+        inst = gen_random(4, 12, seed=21)
         vectors = inst.vectors
-        outers = np.einsum("ij,ik->ijk", vectors, vectors)
-        rng = np.random.default_rng(21)
-        checkpoints = set(rng.integers(0, 2**16, size=10_000).tolist())
-        a = np.zeros((4, 4))
-        prev = 0
-        for k in range(2**16):
-            g = gray_code(k)
-            flipped = g ^ prev
-            if flipped:
-                j = flipped.bit_length() - 1
-                a = a + outers[j] if (g >> j) & 1 else a - outers[j]
-            prev = g
-            if k in checkpoints:
-                scratch = inst.gram(gray_subset(k)).a
-                assert np.linalg.norm(a - scratch, 2) <= 1e-10
+        sums = _subset_sums(vectors[:, :, None] * vectors[:, None, :])
+        assert sums.shape == (2**12, 4, 4)
+        assert not sums[0].any()
+        for t in range(2**12):
+            np.testing.assert_allclose(sums[t], inst.gram(bits(t, 12)).a, rtol=0, atol=1e-12)
+
+    def test_many_chunks_match_across_threads_and_reference(self, monkeypatch):
+        # Three low bits split a 9-vector instance into 64 chunks of 8.
+        monkeypatch.setattr(oracle_mod, "_LOW_BITS", 3)
+        inst = gen_random(3, 9, seed=4)
+        one = brute_force_w(inst, threads=1)
+        two = brute_force_w(inst, threads=2)
+        assert one == two
+        assert one.subsets_examined == 2**9
+        assert one.w_value == subset_distance(inst, one.argmin_subset)
+        assert one.w_value == pytest.approx(reference_brute_force_w(inst).w_value, abs=1e-12)
 
 
 class TestBruteForce:
@@ -84,7 +78,6 @@ class TestBruteForce:
             brute_force_w(inst, m_limit=8)
 
     def test_raised_limit_warns(self, monkeypatch):
-        import ks2.oracle as oracle_mod
         monkeypatch.setattr(oracle_mod, "DEFAULT_M_LIMIT", 4)
         inst = gen_random(3, 6, seed=2)
         with pytest.warns(RuntimeWarning):
