@@ -82,7 +82,7 @@ def _cmd_oracle(args) -> int:
     if args.mode == "branch-bound":
         res = oracle_mod.branch_bound_w(inst, node_limit=args.node_limit)
     else:
-        res = oracle_mod.brute_force_w(inst, m_limit=args.m_limit, threads=args.threads)
+        res = oracle_mod.brute_force_w(inst, m_limit=args.m_limit)
     if args.c is not None:
         res = oracle_mod.with_threshold(inst, res, args.c)
     _emit(res.to_dict())
@@ -173,13 +173,6 @@ def _cmd_check(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ks", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -216,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("instance")
     o.add_argument("--c", type=float)
     o.add_argument("--m-limit", type=int, default=oracle_mod.DEFAULT_M_LIMIT)
-    o.add_argument("--threads", type=_positive_int, default=1)
     o.add_argument("--mode", choices=["exhaustive", "branch-bound"], default="exhaustive")
     o.add_argument("--node-limit", type=int, help="branch-bound: stop after this many nodes")
     o.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)

@@ -112,7 +112,7 @@ class SubsetReport:
 def validate(inst: Instance, iso_tol: float = DEFAULT_ISO_TOL) -> Instance:
     """Return the instance marked validated iff ||sum v v^T - I|| <= iso_tol."""
     dev = inst.isotropy_deviation()
-    if dev > iso_tol:
+    if not dev <= iso_tol:  # a Gram that overflows gives dev NaN
         raise NotIsotropic(dev, iso_tol)
     return dataclasses.replace(inst, validated=True)
 

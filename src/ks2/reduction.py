@@ -239,10 +239,14 @@ def validate_ks_form(f: CnfFormula) -> list[KsFormViolation]:
     polarity in exactly 2 clauses; two clauses sharing more than one literal;
     a variable repeated inside a clause; and (separate flag) a variable
     missing one polarity, which the vector construction additionally needs.
+    The variables that never occur are one missing-polarity violation that
+    gives their count, so the work and the report grow with the clauses, not
+    with the header's variable count.
     """
     violations: list[KsFormViolation] = []
     occ = _literal_occurrences(f.clauses)
-    for v in range(1, f.num_vars + 1):
+    used = sorted({abs(lit) for lit in occ})
+    for v in used:
         pos, neg = len(occ.get(v, ())), len(occ.get(-v, ()))
         if pos > 2:
             violations.append(KsFormViolation(
@@ -258,10 +262,14 @@ def validate_ks_form(f: CnfFormula) -> list[KsFormViolation]:
         if pos == 0 or neg == 0:
             violations.append(KsFormViolation(
                 "missing-polarity",
-                f"variable {v} occurs only as "
-                f"{'positive' if neg == 0 else 'negative'} literal"
-                if pos or neg else f"variable {v} never occurs",
+                f"variable {v} occurs only as {'positive' if neg == 0 else 'negative'} literal",
                 variable=v))
+    if len(used) < f.num_vars:
+        first = next(v for v, u in enumerate(used + [0], start=1) if v != u)  # smallest unused
+        violations.append(KsFormViolation(
+            "missing-polarity",
+            f"{f.num_vars - len(used)} of {f.num_vars} variables never occur "
+            f"(the first is {first})", variable=first))
     for i in range(f.num_clauses):
         ci = set(f.clauses[i])
         if len({abs(l) for l in f.clauses[i]}) != 3:

@@ -1,5 +1,8 @@
-"""One-subset-at-a-time references for ks2.oracle (test-only).
+"""Unfiltered and one-subset-at-a-time references for ks2.oracle (test-only).
 
+reference_table_w is the exhaustive oracle without its prefilter: every
+chunk of the subset-sum tables goes through one stacked eigensolve, so its
+w, argmin and examined are what the filtered oracle must return bit for bit.
 reference_brute_force_w evaluates every subset, in binary order, through
 the scalar eigenvalue kernel on a from-scratch sum; it audits the batched
 subset-sum tables and is only sensible for small m.
@@ -15,15 +18,32 @@ from typing import Optional
 
 import numpy as np
 
+from ks2 import oracle
 from ks2.errors import TooLarge
-from ks2.instance import Instance
-from ks2.linalg import spectral_distance_half
-from ks2.oracle import OracleResult
+from ks2.instance import Instance, subset_distance
+from ks2.linalg import distance_half, eig_extremes_stack, spectral_distance_half
+from ks2.oracle import OracleResult, _subset_sums
 
 
 def bits(t: int, m: int) -> tuple[int, ...]:
     """The subset that bitmask t encodes: index j is in it when bit j of t is set."""
     return tuple(j for j in range(m) if t >> j & 1)
+
+
+def reference_table_w(inst: Instance) -> OracleResult:
+    """Every chunk low + high[h] eigensolved whole; the earliest minimum in binary order wins."""
+    vectors = inst.vectors
+    m = len(vectors)
+    outers = vectors[:, :, None] * vectors[:, None, :]
+    low = _subset_sums(outers[:oracle._LOW_BITS])
+    high = _subset_sums(outers[oracle._LOW_BITS:])
+    parts = []
+    for h in range(len(high)):
+        dev = distance_half(*eig_extremes_stack(low + high[h]))
+        t = int(np.argmin(dev))
+        parts.append((float(dev[t]), h * len(low) + t))
+    subset = bits(min(parts)[1], m)
+    return OracleResult(subset_distance(inst, subset), subset, 1 << m)
 
 
 def reference_brute_force_w(inst: Instance) -> OracleResult:

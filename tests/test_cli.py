@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ks2 import cli
 from ks2.cli import main
-from ks2.instance import instance_to_json
+from ks2.instance import gen_random, instance_to_json
 from ks2.reduction import F_SAT3, F_UNSAT4, emit_dimacs, ks_form_to_instance, layout_to_json
 
 
@@ -76,6 +76,7 @@ class TestOracle:
         assert code == 0
         assert res["w"] <= 1e-12
         assert res["examined"] == 2**8
+        assert 0 < res["eigensolved"] <= res["examined"] and "nodes" not in res
 
     def test_oracle_feasibility_exit_codes(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -90,6 +91,7 @@ class TestOracle:
             "--out", str(inst))
         code, res = run(capsys, "oracle", str(inst), "--mode", "branch-bound")
         assert code == 0
+        assert res["nodes"] >= res["examined"] and "eigensolved" not in res
         code2, res2 = run(capsys, "oracle", str(inst))
         assert abs(res["w"] - res2["w"]) <= 1e-12
 
@@ -230,6 +232,17 @@ class TestMalformedInput:
                         "--layout", str(layout), "--subset", str(subset))
         assert code == 2 and res is None
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["exhaustive", "branch-bound"])
+    def test_overflowing_gram_is_not_isotropic(self, tmp_path, capsys, mode):
+        # The Gram of a 1e200 entry overflows, so its isotropy deviation is NaN.
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"d": 2, "vectors": [[1.0, 0.0], [0.0, 1.0], [1e200, 0.0]]}')
+        code = main(["oracle", str(inst), "--mode", mode, "--iso-tol", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "nan" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("kind", ["instance", "subset", "layout"])
     def test_deeply_nested_json(self, tmp_path, capsys, kind):
         inst, layout, subset = (tmp_path / name for name in ("inst.json", "layout.json", "s.json"))
@@ -247,12 +260,9 @@ class TestMalformedInput:
         assert code == 2 and not captured.out
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_oracle_threads_below_one(self, tmp_path, capsys, threads):
-        inst = tmp_path / "inst.json"
-        inst.write_text(INSTANCE_TEXT)
+    def test_oracle_has_no_threads_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["oracle", str(inst), "--threads", threads])
+            main(["oracle", "inst.json", "--threads", "1"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
@@ -331,7 +341,8 @@ TOKENS = st.integers(-4, 4).map(str) | st.sampled_from(["p", "cnf", "c", "-0", "
 def mutated_dimacs(draw, text):
     """DIMACS bytes after a few drawn edits: tokens replaced or deleted, lines
     deleted or repeated (then, half the time, the header's clause count set to
-    match), or raw bytes overwritten."""
+    match, and half the time its variable count set to a large number), or raw
+    bytes overwritten."""
     if draw(st.booleans()):
         return _overwrite(draw, text)
     lines = [line.split() for line in text.splitlines()]
@@ -351,11 +362,14 @@ def mutated_dimacs(draw, text):
                 lines[row][col] = draw(TOKENS)
             else:
                 del lines[row][col]
+    headers = [line for line in lines if line[:2] == ["p", "cnf"] and len(line) == 4]
     if draw(st.booleans()):
         ends = sum(tok == "0" for line in lines if line[:1] != ["p"] for tok in line)
-        for line in lines:
-            if line[:2] == ["p", "cnf"] and len(line) == 4:
-                line[3] = str(ends)
+        for line in headers:
+            line[3] = str(ends)
+    if draw(st.booleans()):
+        for line in headers:
+            line[2] = str(draw(st.integers(0, 10**12)))
     return "\n".join(" ".join(line) for line in lines).encode() + b"\n"
 
 
@@ -369,6 +383,7 @@ _UNSAT4_INSTANCE, _UNSAT4_LAYOUT = ks_form_to_instance(F_UNSAT4)
 INSTANCE_TEXT = instance_to_json(_UNSAT4_INSTANCE)
 LAYOUT_TEXT = layout_to_json(_UNSAT4_LAYOUT)
 SUBSET_TEXT = "[0, 4, 5]\n"
+ORACLE_INSTANCE_TEXT = instance_to_json(gen_random(3, 8, seed=1))
 DIMACS_TEXT = emit_dimacs(F_UNSAT4)
 # Nested deeper than the interpreter's recursion limit, so json.loads raises RecursionError.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -427,7 +442,21 @@ class TestExitCodeContract:
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated(ORACLE_INSTANCE_TEXT))
+    @example(DEEP_JSON.encode())
+    def test_mutated_instance_oracle(self, capsys, tmp_path, content):
+        # A loose --iso-tol lets non-isotropic vectors through to the oracle.
+        inst = tmp_path / "inst.json"
+        inst.write_bytes(content)
+        self._check(capsys, ["oracle", str(inst), "--iso-tol", "1e6", "--m-limit", "10",
+                             "--c", "0.1"])
+        self._check(capsys, ["oracle", str(inst), "--iso-tol", "1e6", "--mode", "branch-bound",
+                             "--node-limit", "2000"])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(mutated_dimacs(DIMACS_TEXT))
+    @example(DIMACS_TEXT.replace("p cnf 3 4", "p cnf 1000000000000 4").encode())
     def test_mutated_dimacs(self, capsys, tmp_path, content):
         cnf = tmp_path / "f.cnf"
         cnf.write_bytes(content)

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ks2 import Instance, gen_planted, gen_random, subset_distance, validate
 from ks2 import oracle as oracle_mod
 from ks2.errors import TooLarge
+from ks2.linalg import distance_half, eig_extremes_stack
 from ks2.oracle import (
     _bb_search,
+    _interlacing_bound,
+    _lower_triangle,
+    _prefilter_slack,
     _subset_sums,
     branch_bound_w,
     brute_force_w,
@@ -13,7 +19,12 @@ from ks2.oracle import (
 )
 
 from conftest import random_rotation
-from reference_oracle import bits, reference_branch_bound_w, reference_brute_force_w
+from reference_oracle import (
+    bits,
+    reference_branch_bound_w,
+    reference_brute_force_w,
+    reference_table_w,
+)
 
 
 class TestSubsetSumTable:
@@ -26,16 +37,19 @@ class TestSubsetSumTable:
         for t in range(2**12):
             np.testing.assert_allclose(sums[t], inst.gram(bits(t, 12)).a, rtol=0, atol=1e-12)
 
-    def test_many_chunks_match_across_threads_and_reference(self, monkeypatch):
-        # Three low bits split a 9-vector instance into 64 chunks of 8.
+    def test_many_chunks_match_table_reference(self, monkeypatch):
+        # Three low bits split a 9-vector instance into 64 chunks of 8, most
+        # of which the prefilter skips.
         monkeypatch.setattr(oracle_mod, "_LOW_BITS", 3)
         inst = gen_random(3, 9, seed=4)
-        one = brute_force_w(inst, threads=1)
-        two = brute_force_w(inst, threads=2)
-        assert one == two
-        assert one.subsets_examined == 2**9
-        assert one.w_value == subset_distance(inst, one.argmin_subset)
-        assert one.w_value == pytest.approx(reference_brute_force_w(inst).w_value, abs=1e-12)
+        res = brute_force_w(inst)
+        assert res.subsets_examined == 2**9
+        assert res.eigensolved < 2**9 // 4
+        assert res.w_value == subset_distance(inst, res.argmin_subset)
+        assert res.w_value == pytest.approx(reference_brute_force_w(inst).w_value, abs=1e-12)
+        ref = reference_table_w(inst)
+        assert (res.w_value, res.argmin_subset, res.subsets_examined) == (
+            ref.w_value, ref.argmin_subset, ref.subsets_examined)
 
 
 class TestBruteForce:
@@ -65,12 +79,13 @@ class TestBruteForce:
             assert subset_distance(inst, fast.argmin_subset) == pytest.approx(
                 ref.w_value, abs=1e-12)
 
-    def test_threads_deterministic(self):
-        inst = gen_random(3, 11, seed=5)
+    def test_repeat_runs_identical(self):
+        inst = gen_random(3, 16, seed=5)
         a = brute_force_w(inst)
-        b = brute_force_w(inst, threads=4)
-        assert a.w_value == b.w_value
-        assert a.argmin_subset == b.argmin_subset
+        b = brute_force_w(inst, threads=1)  # the benchmark's call; threads is ignored
+        assert a == b
+        assert a.to_dict() == b.to_dict()
+        assert 0 < a.eigensolved <= a.subsets_examined
 
     def test_too_large(self):
         inst = gen_random(3, 10, seed=2)
@@ -165,6 +180,16 @@ class TestBranchBound:
         with pytest.raises(TooLarge):
             branch_bound_w(inst, node_limit=3)
 
+    def test_nodes_is_what_node_limit_counts(self):
+        inst = gen_random(3, 12, seed=6)
+        res = branch_bound_w(inst)
+        assert res == branch_bound_w(inst)
+        assert res.to_dict()["nodes"] == res.nodes >= res.subsets_examined
+        assert "eigensolved" not in res.to_dict()
+        assert branch_bound_w(inst, node_limit=res.nodes) == res
+        with pytest.raises(TooLarge):
+            branch_bound_w(inst, node_limit=res.nodes - 1)
+
 
 # d in 2..5 and m in 8..14 cycle independently (4 and 7 are coprime).
 BLOCKED_CASES = (
@@ -184,7 +209,7 @@ def test_blocked_search_matches_node_by_node_reference(request, kind, d, size, s
         inst, _ = gen_planted(d, size, seed=seed)
     else:
         inst, _ = request.getfixturevalue(kind)
-    w, _, leaves = _bb_search(inst, None)
+    w, _, leaves, _ = _bb_search(inst, None)
     assert w == reference_branch_bound_w(inst).w_value
     assert leaves <= 2 ** inst.num_vectors
 
@@ -194,3 +219,84 @@ def test_reported_w_is_distance_of_argmin(seed):
     inst = gen_random(4, 12, seed=seed)
     for res in (brute_force_w(inst), branch_bound_w(inst)):
         assert res.w_value == subset_distance(inst, res.argmin_subset)
+
+
+# --- the interlacing prefilter ---------------------------------------------------
+
+# d in 1..6 with one or two chunks (m = 15, 16) and one small m; planted
+# instances have W = 0 attained by many subsets and their complements.
+FILTER_CASES = (
+    [pytest.param("random", d, m, s, id=f"random-d{d}-m{m}")
+     for d in range(1, 7) for s, m in enumerate((d + 3, 15, 16))]
+    + [pytest.param("planted", d, k, k, id=f"planted-d{d}-k{k}")
+       for d in range(1, 6) for k in (6, 8)])
+
+
+def _instance(kind, d, size, seed):
+    return gen_random(d, size, seed=seed) if kind == "random" else gen_planted(d, size, seed)[0]
+
+
+def _outputs(res):
+    return res.w_value, res.argmin_subset, res.subsets_examined
+
+
+@pytest.mark.parametrize("kind, d, size, seed", FILTER_CASES)
+def test_prefilter_matches_unfiltered_table(kind, d, size, seed):
+    inst = _instance(kind, d, size, seed)
+    res = brute_force_w(inst)
+    assert _outputs(res) == _outputs(reference_table_w(inst))
+    assert res.eigensolved <= res.subsets_examined
+
+
+@pytest.mark.parametrize("kind, d, size, seed", [
+    pytest.param("random", d, 9 + d % 2, d, id=f"random-d{d}") for d in range(1, 7)] + [
+    pytest.param("planted", d, 6, d, id=f"planted-d{d}") for d in range(1, 6)])
+def test_prefilter_matches_unfiltered_table_in_small_chunks(monkeypatch, kind, d, size, seed):
+    # 8 subsets per chunk: the incumbent carries across many chunks, most
+    # skipped; survivors go to the eigensolve in batches of 3.
+    monkeypatch.setattr(oracle_mod, "_LOW_BITS", 3)
+    monkeypatch.setattr(oracle_mod, "_SOLVE_BATCH", 3)
+    inst = _instance(kind, d, size, seed)
+    assert _outputs(brute_force_w(inst)) == _outputs(reference_table_w(inst))
+
+
+def test_prefilter_rules_nothing_out_when_squares_could_overflow():
+    # Entries near 1e100 square past the double range inside the bound.
+    inst = Instance(gen_random(3, 9, seed=3).vectors * 1e100)
+    res = brute_force_w(inst)
+    assert _outputs(res) == _outputs(reference_table_w(inst))
+    assert res.eigensolved == 2**9
+
+
+@st.composite
+def gram_families(draw):
+    """Vectors whose subset Grams include generic, rank-deficient and
+    repeated-eigenvalue matrices (scaled orthonormal rows, repeated)."""
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["generic", "rank-deficient", "repeated"]))
+    if kind == "generic":
+        return rng.standard_normal((d + draw(st.integers(0, 3)), d))
+    if kind == "rank-deficient":
+        return rng.standard_normal((draw(st.integers(1, max(1, d - 1))), d)) * draw(
+            st.sampled_from([1e-3, 1.0, 10.0]))
+    q = np.eye(d) if draw(st.booleans()) else np.linalg.qr(rng.standard_normal((d, d)))[0]
+    scales = draw(st.lists(st.sampled_from([0.5, 2**-0.5, 1.0, 0.1]), min_size=1, max_size=2))
+    return np.concatenate([q * s for s in scales])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gram_families())
+def test_interlacing_bound_is_sound(vectors):
+    # Computed lb - slack <= computed dev on every subset Gram of the family.
+    d = vectors.shape[1]
+    rows, cols, pairs = _lower_triangle(d)
+    grams = _subset_sums(vectors[:, :, None] * vectors[:, None, :])
+    low = np.ascontiguousarray(grams[:, rows, cols].T)
+    lb = _interlacing_bound(low, np.zeros(len(rows)), pairs,
+                            np.empty((3, pairs.shape[1], len(grams))))
+    dev = distance_half(*eig_extremes_stack(grams))
+    slack = _prefilter_slack(vectors)
+    assert np.all(lb - slack <= dev), float(np.max(lb - dev))
+    if d <= 2:  # the bound is the spectrum itself
+        assert np.all(np.abs(lb - dev) <= slack)

@@ -153,6 +153,18 @@ class TestValidateKsForm:
         vs = validate_ks_form(f)
         assert any(v.kind == "missing-polarity" and v.variable == 1 for v in vs)
 
+    def test_unused_variables_are_one_violation(self):
+        # The work and the report are bounded by the clauses, not the header.
+        f = CnfFormula(10**12, ((1, 2, 4),))
+        vs = validate_ks_form(f)
+        assert len(vs) == 7  # two per occurring variable, plus the unused ones
+        unused = [v for v in vs if "never occur" in v.message]
+        assert len(unused) == 1 and unused[0].kind == "missing-polarity"
+        assert unused[0].variable == 3
+        assert str(10**12 - 3) in unused[0].message
+        with pytest.raises(MissingPolarity):
+            ks_form_to_instance(f)
+
 
 class TestStage1:
     def test_single_clause_removed_entirely(self):
