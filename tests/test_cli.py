@@ -260,6 +260,15 @@ class TestMalformedInput:
         assert code == 2 and not captured.out
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_oracle_threads_below_one(self, tmp_path, capsys, threads):
+        inst = tmp_path / "inst.json"
+        inst.write_text(INSTANCE_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", str(inst), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_oracle_has_no_threads_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "inst.json", "--threads", "1"])
