@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import traceback
 
@@ -35,8 +36,19 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+def _finite(obj):
+    """obj with every non-finite float replaced by None, so the output is strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj))
+    print(json.dumps(_finite(obj), allow_nan=False))
 
 
 def _load_validated(path, iso_tol):
@@ -258,7 +270,7 @@ def main(argv=None) -> int:
     except ResourceExhausted as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         if exc.stats is not None:
-            print(json.dumps({"error": "resource-exhausted", "stats": exc.stats.to_dict()}))
+            _emit({"error": "resource-exhausted", "stats": exc.stats.to_dict()})
         return EXIT_USAGE
     except (KsError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

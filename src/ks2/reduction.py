@@ -19,6 +19,7 @@ Literals are DIMACS-style signed integers: +v / -v for variable v >= 1.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -270,18 +271,27 @@ def validate_ks_form(f: CnfFormula) -> list[KsFormViolation]:
             "missing-polarity",
             f"{f.num_vars - len(used)} of {f.num_vars} variables never occur "
             f"(the first is {first})", variable=first))
-    for i in range(f.num_clauses):
-        ci = set(f.clauses[i])
-        if len({abs(l) for l in f.clauses[i]}) != 3:
+    # Two clauses share more than one literal iff they share a literal pair,
+    # so index every clause by its pairs: later[i] holds the clauses j > i
+    # that share some pair with clause i.
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    later: dict[int, set[int]] = {}
+    for j, clause in enumerate(f.clauses):
+        for pair in itertools.combinations(sorted(set(clause)), 2):
+            earlier = by_pair.setdefault(pair, [])
+            for i in earlier:
+                later.setdefault(i, set()).add(j)
+            earlier.append(j)
+    for i, clause in enumerate(f.clauses):
+        if len({abs(l) for l in clause}) != 3:
             violations.append(KsFormViolation(
-                "repeated-variable", f"clause {i} repeats a variable: {f.clauses[i]}",
+                "repeated-variable", f"clause {i} repeats a variable: {clause}",
                 clauses=(i, i)))
-        for j in range(i + 1, f.num_clauses):
-            shared = ci & set(f.clauses[j])
-            if len(shared) > 1:
-                violations.append(KsFormViolation(
-                    "shared-literals",
-                    f"clauses {i} and {j} share literals {sorted(shared)}", clauses=(i, j)))
+        for j in sorted(later.get(i, ())):
+            shared = set(clause) & set(f.clauses[j])
+            violations.append(KsFormViolation(
+                "shared-literals",
+                f"clauses {i} and {j} share literals {sorted(shared)}", clauses=(i, j)))
     return violations
 
 

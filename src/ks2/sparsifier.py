@@ -14,7 +14,7 @@ so a fixed (state, idx, v, u) is fully deterministic and replayable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,16 +30,18 @@ EMPTY_LEDGER_HASH = prng.mix64(0x4B53325F4C454447)
 class SparsifierState:
     """Immutable sampler state: running sum B, its ledger, and (mu, delta).
 
-    ledger is a tuple of (vector index, weight = 1/p) pairs in sampling
-    order; ledger_hash folds the same sequence into 64 bits so that solver
-    paths can be keyed in O(1).
+    The ledger is stored as a chain of (previous chain, vector index,
+    weight = 1/p) links, newest first, so that a keep shares its parent's
+    chain instead of copying it; ledger_hash folds the same sequence into 64
+    bits so that solver paths can be keyed in O(1).
     """
 
     b: SymMatrix
-    ledger: tuple[tuple[int, float], ...]
     mu: float
     delta: float
     ledger_hash: int = EMPTY_LEDGER_HASH
+    sample_count: int = 0
+    ledger_chain: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -51,8 +53,14 @@ class SparsifierState:
         return self.delta / self.mu
 
     @property
-    def sample_count(self) -> int:
-        return len(self.ledger)
+    def ledger(self) -> tuple[tuple[int, float], ...]:
+        """The (vector index, weight = 1/p) pairs in sampling order."""
+        pairs = []
+        link = self.ledger_chain
+        while link is not None:
+            link, idx, weight = link
+            pairs.append((idx, weight))
+        return tuple(reversed(pairs))
 
 
 def new_state(d: int, mu: float, delta: float) -> SparsifierState:
@@ -63,7 +71,7 @@ def new_state(d: int, mu: float, delta: float) -> SparsifierState:
         raise BadParams(f"mu must be in (0, 1], got {mu}")
     if not delta > 0:
         raise BadParams(f"delta must be positive, got {delta}")
-    return SparsifierState(SymMatrix.zeros(d), (), float(mu), float(delta))
+    return SparsifierState(SymMatrix.zeros(d), float(mu), float(delta))
 
 
 def _check_vector(state: SparsifierState, v) -> np.ndarray:
@@ -75,24 +83,31 @@ def _check_vector(state: SparsifierState, v) -> np.ndarray:
     return v
 
 
+def _budget(d: int, mu: float) -> float:
+    """b (1 + mu) with b = 8 ln(d)/mu^2: p is this times the quadratic form, capped at 1."""
+    if d < 2:
+        raise DegenerateDimension("sampling budget b = 8 ln(d)/mu^2 vanishes for d = 1")
+    return 8.0 * math.log(d) / mu**2 * (1.0 + mu)
+
+
 def sample_probability(state: SparsifierState, v) -> float:
     """min(b (1 + mu) v^T (B + (delta/mu) I)^{-1} v, 1) with b = 8 ln(d)/mu^2."""
     v = _check_vector(state, v)
-    return float(stack_probabilities(state.b.a[None], state.mu, state.shift, v)[0])
+    budget = _budget(state.dim, state.mu)
+    quad = np.vecdot(v, spd_solve_stack(state.b.a, state.shift, v))
+    return min(budget * float(quad), 1.0)
 
 
 def stack_probabilities(sums: np.ndarray, mu: float, shift: float, v: np.ndarray) -> np.ndarray:
     """The sampling probability for every sum B of an (L, d, d) stack sharing mu and shift.
 
-    One batched shifted solve; sample_probability is this on a stack of one.
-    Raises on d = 1 only when some probability is asked for.
+    One shifted solve per sum, each equal bit for bit to sample_probability
+    on that sum.  Raises on d = 1 only when some probability is asked for.
     """
-    d = sums.shape[-1]
-    if d < 2 and len(sums):
-        raise DegenerateDimension("sampling budget b = 8 ln(d)/mu^2 vanishes for d = 1")
-    b = 8.0 * math.log(d) / mu**2
+    if not len(sums):
+        return np.zeros(0)
     quad = np.vecdot(v, spd_solve_stack(sums, shift, v))
-    return np.minimum(b * (1.0 + mu) * quad, 1.0)
+    return np.minimum(_budget(sums.shape[-1], mu) * quad, 1.0)
 
 
 def fold_ledger_hashes(hashes: np.ndarray, idx: int, weights: np.ndarray) -> np.ndarray:
@@ -118,10 +133,8 @@ def observe(state: SparsifierState, idx: int, v, u: float) -> tuple[SparsifierSt
     new_b = state.b.add_outer(v, weight)
     h = prng.mix64(state.ledger_hash ^ prng.mix64(idx))
     h = prng.mix64(h ^ prng.mix64(prng.float_bits(weight)))
-    return (
-        SparsifierState(new_b, state.ledger + ((idx, weight),), state.mu, state.delta, h),
-        True,
-    )
+    chain = (state.ledger_chain, idx, weight)
+    return SparsifierState(new_b, state.mu, state.delta, h, state.sample_count + 1, chain), True
 
 
 def recompute_sum(state: SparsifierState, vectors: np.ndarray) -> SymMatrix:

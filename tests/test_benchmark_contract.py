@@ -87,3 +87,20 @@ def test_traced_targets_exist():
         attr = node.elts[2].value
         if owner is not None:  # numpy.linalg is not ks2's to keep
             assert hasattr(owner[1], attr), f"{owner[0]}.{attr} is gone"
+
+
+def test_observe_reaches_sample_probability_through_the_module(monkeypatch):
+    # The tracer rebinds sparsifier.sample_probability; were observe to bind
+    # it any other way, the traced sparsifier.saturated_ratio would read 0.
+    sparsifier = importlib.import_module("ks2.sparsifier")
+    seen = []
+    original = sparsifier.sample_probability
+
+    def spy(state, v):
+        seen.append(original(state, v))
+        return seen[-1]
+
+    monkeypatch.setattr(sparsifier, "sample_probability", spy)
+    state = sparsifier.new_state(2, 1.0, 1.0)
+    state, kept = sparsifier.observe(state, 0, [1.0, 0.0], 1.0)
+    assert kept and seen == [1.0]

@@ -12,10 +12,19 @@ from ks2.instance import gen_random, instance_to_json
 from ks2.reduction import F_SAT3, F_UNSAT4, emit_dimacs, ks_form_to_instance, layout_to_json
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_loads(text):
+    """json.loads that rejects the NaN / Infinity / -Infinity extensions."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
-    return code, json.loads(out) if out else None
+    return code, strict_loads(out) if out else None
 
 
 class TestGen:
@@ -209,6 +218,16 @@ class TestMalformedInput:
         path.write_text(text)
         code, res = run(capsys, "check", "instance", str(path))
         assert code == 2 and res is None
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_instance_prints_strict_json(self, tmp_path, capsys):
+        # The Gram and alpha overflow to inf; stdout carries them as null.
+        path = tmp_path / "inst.json"
+        path.write_text('{"d": 1, "vectors": [[1e200], [0.5]]}')
+        code, res = run(capsys, "check", "instance", str(path))
+        assert code == 1
+        assert res["valid"] is False
+        assert res["deviation"] is None and res["alpha"] is None
 
     @pytest.mark.parametrize("mutate", [
         lambda obj: obj.pop("literal_clauses"),
@@ -409,7 +428,7 @@ class TestExitCodeContract:
         assert code in (0, 1, 2), (code, captured.out, captured.err)
         if code in (0, 1):
             lines = captured.out.strip().splitlines()
-            assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), captured.out
+            assert len(lines) == 1 and isinstance(strict_loads(lines[0]), dict), captured.out
         else:
             assert "Traceback" not in captured.err, captured.err
 

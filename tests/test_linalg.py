@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from ks2.linalg import (
 from ks2.reduction import F_SAT3, ks_form_to_instance
 
 from conftest import random_spd, random_symmetric
+from reference_sparsifier import scipy_spd_solve_stack
 
 
 class TestSymMatrix:
@@ -113,6 +116,15 @@ class TestSpdSolve:
         assert count == 1000
 
 
+def _systems(d, seed):
+    """(M, shift) pairs: random SPD, rank-deficient plus shift, shift-dominated."""
+    rng = np.random.default_rng([seed, d])
+    low = rng.standard_normal((d, max(1, d // 3)))
+    yield random_spd(d, seed), 1e-3
+    yield low @ low.T, 0.05
+    yield 1e-4 * random_spd(d, seed, ridge=0.0), 1e3
+
+
 class TestSpdSolveStack:
     def test_bit_identical_to_spd_solve(self):
         # Zero matrices included: the solver's first level holds B = 0.
@@ -126,10 +138,33 @@ class TestSpdSolveStack:
                 assert np.array_equal(w, want)
                 assert q == float(v @ want)
 
+    def test_bit_identical_to_scipy_solve(self):
+        for d in range(2, 21):
+            for seed in range(4):
+                v = random_symmetric(d, seed)[0]
+                for m, shift in _systems(d, seed):
+                    got = spd_solve_stack(m, shift, v)
+                    assert np.array_equal(got, scipy_spd_solve_stack(m, shift, v)), (d, seed)
+
+    @pytest.mark.parametrize("lead", [(), (0,), (7,), (2, 3)], ids=["single", "empty", "L", "a-b"])
+    def test_stack_shapes(self, lead):
+        d = 4
+        stack = np.array([random_spd(d, seed) for seed in range(math.prod(lead))])
+        stack = stack.reshape(lead + (d, d))
+        v = random_symmetric(d, 1)[0]
+        got = spd_solve_stack(stack, 0.2, v)
+        assert got.shape == lead + (d,)
+        for j in np.ndindex(lead):
+            assert np.array_equal(got[j], scipy_spd_solve_stack(stack[j], 0.2, v))
+
     def test_failed_factorization_raises(self):
         stack = np.array([np.eye(3), -np.eye(3)])
         with pytest.raises(SingularSystem):
             spd_solve_stack(stack, 0.0, np.ones(3))
+        with pytest.raises(SingularSystem):
+            spd_solve_stack(-np.eye(3), 0.5, np.ones(3))
+        with pytest.raises(SingularSystem):
+            spd_solve_stack(np.zeros((2, 2, 3, 3)), 0.0, np.ones(3))
 
 
 class TestInvSqrt:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ class TestNaeBruteSolve:
                 assert got is None
 
 
+def pairwise_clause_checks(f):
+    """The repeated-variable and shared-literals violations by comparing every
+    pair of clauses: the quadratic loop validate_ks_form replaced."""
+    out = []
+    for i in range(f.num_clauses):
+        ci = set(f.clauses[i])
+        if len({abs(l) for l in f.clauses[i]}) != 3:
+            out.append(("repeated-variable", f"clause {i} repeats a variable: {f.clauses[i]}",
+                        (i, i)))
+        for j in range(i + 1, f.num_clauses):
+            shared = ci & set(f.clauses[j])
+            if len(shared) > 1:
+                out.append(("shared-literals",
+                            f"clauses {i} and {j} share literals {sorted(shared)}", (i, j)))
+    return out
+
+
 class TestValidateKsForm:
     def test_fixtures_valid(self):
         assert validate_ks_form(F_SAT3) == []
@@ -147,6 +165,31 @@ class TestValidateKsForm:
         f = CnfFormula(4, ((1, 2, 3), (1, 2, 4)))
         kinds = {v.kind for v in validate_ks_form(f)}
         assert "shared-literals" in kinds
+
+    def test_clause_checks_match_pairwise_loop(self):
+        # Few variables and repeats allowed, so shared pairs and repeated
+        # variables are common.
+        kinds = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            nv = int(rng.integers(2, 8))
+            lits = rng.integers(1, nv + 1, size=(int(rng.integers(1, 40)), 3))
+            lits *= rng.choice([-1, 1], size=lits.shape)
+            f = CnfFormula(nv, tuple(tuple(int(x) for x in row) for row in lits))
+            got = [(v.kind, v.message, v.clauses) for v in validate_ks_form(f)
+                   if v.kind in ("repeated-variable", "shared-literals")]
+            assert got == pairwise_clause_checks(f), seed
+            kinds.update(kind for kind, _, _ in got)
+        assert kinds == {"repeated-variable", "shared-literals"}
+
+    def test_disjoint_clauses_linear_time(self):
+        # The pairwise loop took minutes at this size.
+        n = 40_000
+        f = CnfFormula(3 * n, tuple((3 * k + 1, 3 * k + 2, 3 * k + 3) for k in range(n)))
+        t0 = time.perf_counter()
+        vs = validate_ks_form(f)
+        assert time.perf_counter() - t0 < 10.0
+        assert len(vs) == 6 * n  # no-exact-two and missing-polarity per variable
 
     def test_missing_polarity_flagged_separately(self):
         f = CnfFormula(3, ((1, 2, 3), (1, -2, -3)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from ks2.sparsifier import (
     sample_probability,
     stack_probabilities,
 )
+
+from reference_sparsifier import reference_stream
 
 
 class TestNewState:
@@ -53,7 +56,7 @@ class TestSampleProbability:
     def test_saturated_background(self):
         st = new_state(2, 1.0, 1.0)
         big = SymMatrix.from_array(100.0 * np.eye(2))
-        st = type(st)(big, st.ledger, st.mu, st.delta, st.ledger_hash)
+        st = dataclasses.replace(st, b=big)
         p = sample_probability(st, np.array([0.01, 0.0]))
         expected = 8 * math.log(2) * 2.0 * (1e-4 / 101.0)
         assert p == pytest.approx(expected, rel=1e-12)
@@ -77,6 +80,13 @@ class TestObserve:
         assert sampled
         assert st2.ledger == ((0, 1.0),)
         assert st2.b.a[0, 0] == pytest.approx(1.0)
+
+    def test_keep_shares_the_parent_ledger(self):
+        # A keep links to its parent's ledger instead of copying it.
+        st1, _ = observe(new_state(2, 1.0, 1.0), 0, np.array([1.0, 0.0]), u=1.0)
+        st2, sampled = observe(st1, 3, np.array([0.0, 1.0]), u=1.0)
+        assert sampled and st2.ledger_chain[0] is st1.ledger_chain
+        assert st2.ledger == ((0, 1.0), (3, 1.0)) and st2.sample_count == 2
 
     def test_zero_vector_never_sampled(self):
         st = new_state(2, 1.0, 1.0)
@@ -150,6 +160,20 @@ class TestStackKernels:
         with pytest.raises(DegenerateDimension):
             stack_probabilities(np.zeros((1, 1, 1)), 1.0, 1.0, np.array([1.0]))
         assert stack_probabilities(np.zeros((0, 1, 1)), 1.0, 1.0, np.array([1.0])).size == 0
+
+
+def test_long_stream_matches_reference():
+    # The sparsify-stream benchmark's shape: most draws have p < 1.
+    inst = gen_random(10, 4000, seed=11)
+    draws = np.random.default_rng(11).random(4000)
+    st = new_state(10, 0.5, 0.05)
+    for i, (v, u) in enumerate(zip(inst.vectors, draws)):
+        st, _ = observe(st, i, v, float(u))
+    b, ledger, h = reference_stream(inst.vectors, draws, 0.5, 0.05)
+    assert st.b.a.tobytes() == b.tobytes()
+    assert st.ledger == ledger and st.sample_count == len(ledger)
+    assert st.ledger_hash == h
+    assert len(ledger) < 4000 and max(w for _, w in ledger) > 1.0
 
 
 def test_sandwich_statistics_smoke():
