@@ -123,8 +123,8 @@ def check_subset(inst: Instance, subset: Sequence[int], c: float, epsilon: float
     The comparisons are exact (no slack): the solver uses this as its
     acceptance gate and must not weaken it.
     """
-    if c <= 0:
-        raise BadSubset(f"c must be positive, got {c}")
+    if not 0 < c < np.inf:
+        raise BadSubset(f"c must be positive and finite, got {c}")
     if not (0 <= epsilon < 1):
         raise BadSubset(f"epsilon must be in [0, 1), got {epsilon}")
     idx = sorted(int(i) for i in subset)

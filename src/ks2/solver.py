@@ -53,15 +53,14 @@ class SolverParams:
 
     mu = epsilon/6 exactly; lam = min(c*sqrt(alpha), 1/2 - c*sqrt(alpha));
     the sparsifier delta is mu * lam, so its ridge delta/mu equals lam;
-    b = 8 ln(d)/mu^2; n = ceil(C d ln(d) ln(1/lam) / mu^2), the size-filter
-    bound.
+    n = ceil(C d ln(d) ln(1/lam) / mu^2), the size-filter bound.  The
+    sampling budget is sparsifier._budget(d, mu).
     """
 
     c: float
     epsilon: float
     mu: float
     lam: float
-    b: float
     n: int
     max_level_size: Optional[int] = None
 
@@ -75,8 +74,10 @@ def derive_params(inst: Instance, c: float, epsilon: float,
     """Compute the run parameters for an instance and target band."""
     if not (0 < epsilon < 1):
         raise InfeasibleParameters(f"epsilon must be in (0, 1), got {epsilon}")
-    if c <= 0:
+    if not c > 0:
         raise InfeasibleParameters(f"c must be positive, got {c}")
+    if not 0 < level_constant < math.inf:
+        raise InfeasibleParameters(f"C must be positive and finite, got {level_constant}")
     ca = c * math.sqrt(inst.alpha)
     if ca >= 0.5:
         raise InfeasibleParameters(
@@ -84,9 +85,12 @@ def derive_params(inst: Instance, c: float, epsilon: float,
     mu = epsilon / 6.0
     lam = min(ca, 0.5 - ca)
     d = inst.dim
-    b = 8.0 * math.log(d) / mu**2
-    n = max(1, math.ceil(level_constant * d * math.log(d) * math.log(1.0 / lam) / mu**2))
-    return SolverParams(c=c, epsilon=epsilon, mu=mu, lam=lam, b=b, n=n)
+    try:  # lam or mu**2 can underflow to 0, and the bound overflow to inf
+        n = max(1, math.ceil(level_constant * d * math.log(d) * math.log(1.0 / lam) / mu**2))
+    except (ZeroDivisionError, OverflowError):
+        raise InfeasibleParameters(
+            f"size bound n is not finite at c = {c}, epsilon = {epsilon}") from None
+    return SolverParams(c=c, epsilon=epsilon, mu=mu, lam=lam, n=n)
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Unfiltered and one-subset-at-a-time references for ks2.oracle (test-only).
 
-reference_table_w is the exhaustive oracle without its prefilter: every
-chunk of the subset-sum tables goes through one stacked eigensolve, so its
-w, argmin and examined are what the filtered oracle must return bit for bit.
+reference_table_w evaluates every subset with no bound at all: two tables of
+subset sums built by doubling, one for the first low_bits vectors and one for
+the rest, each chunk (the low table plus one high row) through one stacked
+eigensolve; the earliest minimum in binary order wins.  The search's w must
+lie within 3 * rounding_bound of its w.
 reference_brute_force_w evaluates every subset, in binary order, through
 the scalar eigenvalue kernel on a from-scratch sum; it audits the batched
 subset-sum tables and is only sensible for small m.
@@ -18,11 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from ks2 import oracle
 from ks2.errors import TooLarge
 from ks2.instance import Instance, subset_distance
 from ks2.linalg import distance_half, eig_extremes_stack, spectral_distance_half
-from ks2.oracle import OracleResult, _subset_sums
+from ks2.oracle import OracleResult
+
+LOW_BITS = 14  # vectors in the low table: 2^14 matrices per chunk
 
 
 def bits(t: int, m: int) -> tuple[int, ...]:
@@ -30,13 +33,28 @@ def bits(t: int, m: int) -> tuple[int, ...]:
     return tuple(j for j in range(m) if t >> j & 1)
 
 
-def reference_table_w(inst: Instance) -> OracleResult:
+def subset_sums(outers: np.ndarray) -> np.ndarray:
+    """Every subset sum of a (k, ...) stack: row t sums the outers[j] with bit j of t set."""
+    sums = np.zeros((1,) + outers.shape[1:])
+    for outer in outers:
+        sums = np.concatenate((sums, sums + outer))
+    return sums
+
+
+def rounding_bound(vectors: np.ndarray) -> float:
+    """eps of the ks2.oracle docstring: the most by which a computed completion
+    bound can exceed the computed deviation of a leaf below it."""
+    m, d = vectors.shape
+    return 2 * (m + 64 * d * d + 2) * 2.0 ** -53 * (2 * float(np.sum(vectors * vectors)) + 1)
+
+
+def reference_table_w(inst: Instance, low_bits: int = LOW_BITS) -> OracleResult:
     """Every chunk low + high[h] eigensolved whole; the earliest minimum in binary order wins."""
     vectors = inst.vectors
     m = len(vectors)
     outers = vectors[:, :, None] * vectors[:, None, :]
-    low = _subset_sums(outers[:oracle._LOW_BITS])
-    high = _subset_sums(outers[oracle._LOW_BITS:])
+    low = subset_sums(outers[:low_bits])
+    high = subset_sums(outers[low_bits:])
     parts = []
     for h in range(len(high)):
         dev = distance_half(*eig_extremes_stack(low + high[h]))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ks2 import cli
 from ks2.cli import main
-from ks2.instance import gen_random, instance_to_json
+from ks2.instance import gen_planted, gen_random, instance_to_json
 from ks2.reduction import F_SAT3, F_UNSAT4, emit_dimacs, ks_form_to_instance, layout_to_json
 
 
@@ -279,6 +279,33 @@ class TestMalformedInput:
         assert code == 2 and not captured.out
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--c", "nan"]), ("solve", ["--C", "nan"]), ("solve", ["--C", "inf"]),
+        ("solve", ["--C", "-1"]), ("solve", ["--c", "inf"]), ("solve", ["--epsilon", "nan"]),
+        ("solve", ["--epsilon", "1e-200"]), ("solve", ["--c", "5e-324"]),
+        ("verify", ["--c", "nan"]), ("verify", ["--c", "inf"]), ("verify", ["--epsilon", "nan"]),
+        ("oracle", ["--c", "nan"]), ("oracle", ["--c", "-1"]), ("oracle", ["--c", "inf"]),
+    ], ids=lambda x: x if isinstance(x, str) else "=".join(x))
+    def test_invalid_parameter_is_usage_error(self, tmp_path, capsys, command, flags):
+        inst, subset = tmp_path / "inst.json", tmp_path / "s.json"
+        run(capsys, "gen", "planted", "--d", "3", "--k", "4", "--seed", "1",
+            "--out", str(inst), "--planted-out", str(subset))
+        defaults = {"solve": {"--c": "0.1", "--epsilon": "0.3", "--seed": "1"},
+                    "verify": {"--c": "0.1", "--epsilon": "0.3", "--subset": str(subset)},
+                    "oracle": {}}[command]
+        args = {**defaults, flags[0]: flags[1]}
+        code = main([command, str(inst), *[x for kv in args.items() for x in kv]])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out, (code, captured.out)
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "branch-bound"])
+    def test_oracle_threshold_zero_is_valid(self, tmp_path, capsys, mode):
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "random", "--d", "3", "--m", "8", "--seed", "1", "--out", str(inst))
+        code, res = run(capsys, "oracle", str(inst), "--mode", mode, "--c", "0")
+        assert code == 1 and res["c"] == 0.0 and res["feasible_eq1"] is False
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_oracle_threads_below_one(self, tmp_path, capsys, threads):
         inst = tmp_path / "inst.json"
@@ -412,9 +439,17 @@ INSTANCE_TEXT = instance_to_json(_UNSAT4_INSTANCE)
 LAYOUT_TEXT = layout_to_json(_UNSAT4_LAYOUT)
 SUBSET_TEXT = "[0, 4, 5]\n"
 ORACLE_INSTANCE_TEXT = instance_to_json(gen_random(3, 8, seed=1))
+SOLVE_INSTANCE_TEXT = instance_to_json(gen_planted(3, 4, seed=1)[0])
 DIMACS_TEXT = emit_dimacs(F_UNSAT4)
 # Nested deeper than the interpreter's recursion limit, so json.loads raises RecursionError.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def _option(*typical):
+    """A numeric option as argparse reads it: a typical value three times in
+    four, else any float, nan, inf and negatives included."""
+    return st.integers(0, 3).flatmap(
+        lambda k: st.sampled_from(typical) if k else st.floats().map(repr))
 
 
 class TestExitCodeContract:
@@ -491,4 +526,39 @@ class TestExitCodeContract:
         self._check(capsys, ["check", "ksform", str(cnf)])
         self._check(capsys, ["check", "nae", str(cnf)])
         self._check(capsys, ["reduce", "sat2ks", str(cnf), "--out", str(tmp_path / "out.json"),
+                             "--layout", str(tmp_path / "layout.json")])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.just(SOLVE_INSTANCE_TEXT.encode()) | mutated(SOLVE_INSTANCE_TEXT),
+           _option("0.1", "0.2"), _option("0.3", "0.5"), _option("40", "1"))
+    @example(SOLVE_INSTANCE_TEXT.encode(), "nan", "0.3", "40")
+    @example(SOLVE_INSTANCE_TEXT.encode(), "0.1", "0.3", "-1.0")
+    @example(SOLVE_INSTANCE_TEXT.encode(), "0.1", "6.295354473838808e-224", "40")
+    def test_mutated_instance_solve(self, capsys, tmp_path, content, c, epsilon, level):
+        # A loose --iso-tol lets non-isotropic vectors through to the solver.
+        inst = tmp_path / "inst.json"
+        inst.write_bytes(content)
+        self._check(capsys, ["solve", str(inst), f"--c={c}", f"--epsilon={epsilon}",
+                             f"--C={level}", "--seed", "1", "--iso-tol", "1e6",
+                             "--max-level-size", "4096"])
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["random", "planted"]), st.integers(-2, 8), st.integers(-2, 12),
+           st.integers(-2**65, 2**65))
+    def test_gen(self, capsys, tmp_path, mode, d, size, seed):
+        self._check(capsys, ["gen", mode, "--d", str(d), "--m" if mode == "random" else "--k",
+                             str(size), "--seed", str(seed), "--out", str(tmp_path / "i.json")])
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_dimacs(DIMACS_TEXT))
+    def test_mutated_dimacs_reduce(self, capsys, tmp_path, content):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_bytes(content)
+        self._check(capsys, ["reduce", "nae2ksform", str(cnf), "--out", str(tmp_path / "g.cnf"),
+                             "--varmap", str(tmp_path / "map.json")])
+        self._check(capsys, ["reduce", "ksform2inst", str(cnf),
+                             "--out", str(tmp_path / "out.json"),
                              "--layout", str(tmp_path / "layout.json")])

@@ -7,16 +7,7 @@ from ks2 import Instance, gen_planted, gen_random, subset_distance, validate
 from ks2 import oracle as oracle_mod
 from ks2.errors import TooLarge
 from ks2.linalg import distance_half, eig_extremes_stack
-from ks2.oracle import (
-    _bb_search,
-    _interlacing_bound,
-    _lower_triangle,
-    _prefilter_slack,
-    _subset_sums,
-    branch_bound_w,
-    brute_force_w,
-    with_threshold,
-)
+from ks2.oracle import _bb_search, branch_bound_w, brute_force_w, with_threshold
 
 from conftest import random_rotation
 from reference_oracle import (
@@ -24,32 +15,35 @@ from reference_oracle import (
     reference_branch_bound_w,
     reference_brute_force_w,
     reference_table_w,
+    rounding_bound,
+    subset_sums,
 )
 
 
 class TestSubsetSumTable:
+    """The reference's doubling table, which every subset is checked against."""
+
     def test_rows_are_from_scratch_grams(self):
         inst = gen_random(4, 12, seed=21)
         vectors = inst.vectors
-        sums = _subset_sums(vectors[:, :, None] * vectors[:, None, :])
+        sums = subset_sums(vectors[:, :, None] * vectors[:, None, :])
         assert sums.shape == (2**12, 4, 4)
         assert not sums[0].any()
         for t in range(2**12):
             np.testing.assert_allclose(sums[t], inst.gram(bits(t, 12)).a, rtol=0, atol=1e-12)
 
-    def test_many_chunks_match_table_reference(self, monkeypatch):
-        # Three low bits split a 9-vector instance into 64 chunks of 8, most
-        # of which the prefilter skips.
-        monkeypatch.setattr(oracle_mod, "_LOW_BITS", 3)
+    def test_many_chunks_match_table_reference(self):
+        # Three low bits split a 9-vector instance into 64 chunks of 8; the
+        # chunked table agrees with the one-chunk table and with the search.
         inst = gen_random(3, 9, seed=4)
+        ref = reference_table_w(inst, low_bits=3)
+        assert ref == reference_table_w(inst)
+        assert ref.w_value == pytest.approx(reference_brute_force_w(inst).w_value, abs=1e-12)
         res = brute_force_w(inst)
-        assert res.subsets_examined == 2**9
-        assert res.eigensolved < 2**9 // 4
+        assert res.subsets_examined == ref.subsets_examined == 2**9
+        assert 0 < res.eigensolved <= 2**9
         assert res.w_value == subset_distance(inst, res.argmin_subset)
-        assert res.w_value == pytest.approx(reference_brute_force_w(inst).w_value, abs=1e-12)
-        ref = reference_table_w(inst)
-        assert (res.w_value, res.argmin_subset, res.subsets_examined) == (
-            ref.w_value, ref.argmin_subset, ref.subsets_examined)
+        assert abs(res.w_value - ref.w_value) <= 3 * rounding_bound(inst.vectors)
 
 
 class TestBruteForce:
@@ -163,7 +157,7 @@ class TestBranchBound:
     def test_matches_exhaustive_on_randoms(self):
         for seed in range(5):
             inst = gen_random(3, 10, seed=seed)
-            a = brute_force_w(inst)
+            a = reference_brute_force_w(inst)
             b = branch_bound_w(inst)
             assert b.w_value == pytest.approx(a.w_value, abs=1e-12)
             assert subset_distance(inst, b.argmin_subset) == pytest.approx(
@@ -221,30 +215,40 @@ def test_reported_w_is_distance_of_argmin(seed):
         assert res.w_value == subset_distance(inst, res.argmin_subset)
 
 
-# --- the interlacing prefilter ---------------------------------------------------
+# --- the completion bound as the filter: the search against the unfiltered table --
 
-# d in 1..6 with one or two chunks (m = 15, 16) and one small m; planted
-# instances have W = 0 attained by many subsets and their complements.
+# d in 1..6 with m from d + 3 to 16 and planted instances, whose W = 0 is
+# attained by many subsets and their complements; plus entries near 1e100,
+# whose outer products are near 1e200.
 FILTER_CASES = (
     [pytest.param("random", d, m, s, id=f"random-d{d}-m{m}")
      for d in range(1, 7) for s, m in enumerate((d + 3, 15, 16))]
     + [pytest.param("planted", d, k, k, id=f"planted-d{d}-k{k}")
-       for d in range(1, 6) for k in (6, 8)])
+       for d in range(1, 6) for k in (6, 8)]
+    + [pytest.param("scaled", 3, 9, 3, id="scaled-1e100")])
 
 
 def _instance(kind, d, size, seed):
-    return gen_random(d, size, seed=seed) if kind == "random" else gen_planted(d, size, seed)[0]
+    if kind == "planted":
+        return gen_planted(d, size, seed)[0]
+    inst = gen_random(d, size, seed=seed)
+    return Instance(inst.vectors * 1e100) if kind == "scaled" else inst
 
 
-def _outputs(res):
-    return res.w_value, res.argmin_subset, res.subsets_examined
+def _assert_matches_table(inst, res, ref):
+    assert res.w_value == subset_distance(inst, res.argmin_subset)
+    assert abs(res.w_value - ref.w_value) <= 3 * rounding_bound(inst.vectors), (
+        res.w_value, ref.w_value)
 
 
 @pytest.mark.parametrize("kind, d, size, seed", FILTER_CASES)
 def test_prefilter_matches_unfiltered_table(kind, d, size, seed):
+    # The completion bound rules subsets out before any eigensolve; the w it
+    # leaves is within the docstring's rounding bound of the table's.
     inst = _instance(kind, d, size, seed)
     res = brute_force_w(inst)
-    assert _outputs(res) == _outputs(reference_table_w(inst))
+    _assert_matches_table(inst, res, reference_table_w(inst))
+    assert res.subsets_examined == 2 ** inst.num_vectors
     assert res.eigensolved <= res.subsets_examined
 
 
@@ -252,20 +256,27 @@ def test_prefilter_matches_unfiltered_table(kind, d, size, seed):
     pytest.param("random", d, 9 + d % 2, d, id=f"random-d{d}") for d in range(1, 7)] + [
     pytest.param("planted", d, 6, d, id=f"planted-d{d}") for d in range(1, 6)])
 def test_prefilter_matches_unfiltered_table_in_small_chunks(monkeypatch, kind, d, size, seed):
-    # 8 subsets per chunk: the incumbent carries across many chunks, most
-    # skipped; survivors go to the eigensolve in batches of 3.
-    monkeypatch.setattr(oracle_mod, "_LOW_BITS", 3)
-    monkeypatch.setattr(oracle_mod, "_SOLVE_BATCH", 3)
+    # Blocks of 3 nodes: the incumbent carries across many blocks, and the
+    # table reference is cut into chunks of 8.
+    monkeypatch.setattr(oracle_mod, "_BLOCK", 3)
     inst = _instance(kind, d, size, seed)
-    assert _outputs(brute_force_w(inst)) == _outputs(reference_table_w(inst))
+    ref = reference_table_w(inst, low_bits=3)
+    for res in (brute_force_w(inst), branch_bound_w(inst)):
+        _assert_matches_table(inst, res, ref)
 
 
-def test_prefilter_rules_nothing_out_when_squares_could_overflow():
-    # Entries near 1e100 square past the double range inside the bound.
-    inst = Instance(gen_random(3, 9, seed=3).vectors * 1e100)
-    res = brute_force_w(inst)
-    assert _outputs(res) == _outputs(reference_table_w(inst))
-    assert res.eigensolved == 2**9
+@pytest.mark.parametrize("seed", range(4))
+def test_shuffled_vectors_keep_w(seed):
+    # Reordering the input changes the summation order, and among ties the
+    # argmin, but w stays within the rounding bound.
+    inst = gen_random(4, 13, seed=seed) if seed % 2 else gen_planted(3, 6, seed)[0]
+    perm = np.random.default_rng(seed).permutation(inst.num_vectors)
+    shuffled = Instance(inst.vectors[perm])
+    eps = rounding_bound(inst.vectors)
+    for search in (brute_force_w, branch_bound_w):
+        a, b = search(inst), search(shuffled)
+        assert b.w_value == subset_distance(shuffled, b.argmin_subset)
+        assert abs(a.w_value - b.w_value) <= 3 * eps, (a.w_value, b.w_value)
 
 
 @st.composite
@@ -287,16 +298,22 @@ def gram_families(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(gram_families())
-def test_interlacing_bound_is_sound(vectors):
-    # Computed lb - slack <= computed dev on every subset Gram of the family.
-    d = vectors.shape[1]
-    rows, cols, pairs = _lower_triangle(d)
-    grams = _subset_sums(vectors[:, :, None] * vectors[:, None, :])
-    low = np.ascontiguousarray(grams[:, rows, cols].T)
-    lb = _interlacing_bound(low, np.zeros(len(rows)), pairs,
-                            np.empty((3, pairs.shape[1], len(grams))))
-    dev = distance_half(*eig_extremes_stack(grams))
-    slack = _prefilter_slack(vectors)
-    assert np.all(lb - slack <= dev), float(np.max(lb - dev))
-    if d <= 2:  # the bound is the spectrum itself
-        assert np.all(np.abs(lb - dev) <= slack)
+def test_completion_bound_is_sound(vectors):
+    # Every node's bound, computed as the search computes it, is at most
+    # eps above the computed deviation of every leaf below it.  Row t of the
+    # table after i doublings is the partial sum P of the node that chose
+    # bitmask t among the first i vectors, summed in the search's order.
+    m, d = vectors.shape
+    outers = vectors[:, :, None] * vectors[:, None, :]
+    suffix = np.zeros((m + 1, d, d))
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + outers[i]
+    leaves = subset_sums(outers)
+    leaf_dev = distance_half(*eig_extremes_stack(leaves))
+    eps = rounding_bound(vectors)
+    for i in range(m + 1):
+        p = leaves[:2**i]
+        lo = eig_extremes_stack(p + suffix[i])[0]
+        bound = np.maximum(distance_half(lo, eig_extremes_stack(p)[1]), 0.0)
+        below = leaf_dev.reshape(2 ** (m - i), 2**i).min(axis=0)
+        assert np.all(bound - eps <= below), float(np.max(bound - below))
