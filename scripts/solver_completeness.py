@@ -3,7 +3,8 @@
 
 Every instance hides a subset summing to exactly I/2, so a perfect solver
 would find a band member every time; the theory promises a find rate of at
-least 1 - 2/d.  Prints the rate and timing per configuration.
+least 1 - 2/d.  Prints the rate, timing, mean peak level and mean number of
+entries dropped by completion-bound pruning per configuration.
 """
 import argparse
 import sys
@@ -27,10 +28,11 @@ def main():
     ap.add_argument("--epsilon", type=float, default=0.3)
     args = ap.parse_args()
 
-    print(f"{'d':>3} {'m':>4} {'found':>9} {'rate':>6} {'1-2/d':>6} {'sec/run':>8}")
+    print(f"{'d':>3} {'m':>4} {'found':>9} {'rate':>6} {'1-2/d':>6} {'sec/run':>8}"
+          f" {'peak':>8} {'pruned':>8}")
     for d in args.d:
         k = max(args.k, d)
-        found = 0
+        found = peak = pruned = 0
         t0 = time.time()
         for seed in range(args.seeds):
             inst, _ = gen_planted(d, k, seed=seed)
@@ -38,9 +40,12 @@ def main():
             if out.found:
                 assert check_subset(inst, out.subset, args.c, args.epsilon).satisfies_eq2
                 found += 1
+            peak += out.stats.peak_level_size
+            pruned += out.stats.pruned
         per = (time.time() - t0) / args.seeds
         print(f"{d:>3} {2 * k:>4} {found:>4}/{args.seeds:<4} {found / args.seeds:>6.2f}"
-              f" {1 - 2 / d:>6.2f} {per:>8.2f}")
+              f" {1 - 2 / d:>6.2f} {per:>8.2f} {peak / args.seeds:>8.1f}"
+              f" {pruned / args.seeds:>8.1f}")
 
 
 if __name__ == "__main__":

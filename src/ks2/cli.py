@@ -212,7 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--C", type=float, default=solver.DEFAULT_LEVEL_CONSTANT,
                    help="constant in the sparsifier size bound n")
     s.add_argument("--n-override", type=int)
-    s.add_argument("--max-level-size", type=int)
+    s.add_argument("--max-level-size", type=int,
+                   help="fail when a level holds more entries after the size filter and the prune")
     s.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
     s.add_argument("--subset-out")
     s.set_defaults(func=_cmd_solve)

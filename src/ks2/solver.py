@@ -16,10 +16,12 @@ scratch, so a "found" outcome is sound unconditionally; "not found" can be
 wrong only when a valid subset exists and every sampling path missed it.
 
 A level is stored as arrays in entry order: a bool membership matrix
-(L, m), the sparsifier sums B (L, d, d), the sample counts and the ledger
-hashes.  Each level makes one batched gate eigensolve, one batched shifted
-solve for the sampling probabilities and one vectorised draw, only for
-entries with 0 < p < 1 (a draw cannot change a keep at p = 1).  Every step
+(L, m), the sparsifier sums B (L, d, d), the sample counts, the ledger
+hashes and the pruning bounds top, bottom and floor (L,).  Each level makes
+one batched gate eigensolve, one batched shifted solve for the sampling
+probabilities, one vectorised draw, only for entries with 0 < p < 1 (a draw
+cannot change a keep at p = 1), and one eigensolve for the floors that no
+bound certifies.  Every step
 is bit-identical to the per-entry path through sparsifier.observe, which
 tests/reference_solver.py keeps as the reference solver.
 
@@ -29,6 +31,52 @@ L_j unchanged to exactly one child, and a keep adds L_j + ((i, w),), the
 only kind of ledger that contains index i, distinct for distinct L_j; the
 size filter only removes entries.  SolveStats.dedup_hits is kept in the
 output and always reads 0.
+
+Completion-bound pruning.  At the top of level i, right after the size
+filter, an entry is dropped when no descendant can pass the gate; the drops
+are counted in SolveStats.pruned.  Every set that the entry or a descendant
+gates is some G with S < G <= U = S + {i, ..., m-1}, so A_S <= A_G <= A_U in
+the Loewner order, and lambda_max(A_G) >= lambda_max(A_S) and
+lambda_min(A_G) <= lambda_min(A_U) hold exactly.  Each entry carries
+    top = lambda_max(A_S): 0 at the root; an exclude child keeps its
+          parent's, an include child takes the gate's hi;
+    bottom = lambda_min(A_S), likewise (an include child takes the gate's lo);
+    floor, for lambda_min(A_U): an include child keeps its parent's (the same
+          U); an exclude child, whose U lacks v_i, eigensolves A_U unless a
+          bound certifies that it cannot be pruned (below).
+Let u = 2^-53, T the computed sum of squares of all entries and
+eta = (m + 64 d^2 + 2) u (2T + 1).  Every computed eigenvalue of a Gram that
+the solver eigensolves is within eta of the exact eigenvalue of A_S, by the
+derivation in the ks2.oracle docstring (summation error gamma_m, backward
+stability of LAPACK's eigensolver, Weyl's inequality).  With
+slack = 2 eta (rounding_slack):
+  * top > hi_bound + slack gives exact lambda_max(A_G) > hi_bound + eta, so
+    the gate's computed hi for G exceeds hi_bound;
+  * a computed floor < lo_bound - slack gives exact lambda_min(A_G) <
+    lo_bound - eta, so the gate's computed lo for G is below lo_bound.
+Either way no descendant gates.  A surviving entry keeps its ledger hash,
+hence its draws (keyed by seed, level and hash), and its place in entry
+order, so the earliest gate hit of each level, and with it status, subset
+and report, are those of the unpruned search.  Only peak_level_size, pruned,
+size_filtered (entries that would have been filtered below a pruned one) and
+the level at which max_level_size fires can differ.  The final level is not
+pruned.
+
+The certificate.  With R_j the Gram of vectors j, ..., m-1, Weyl's inequality
+gives two lower bounds for an exclude child made at level i:
+lambda_min(A_U) >= lambda_min(A_S) + lambda_min(R_{i+1}) and
+lambda_min(A_U) >= lambda_min(A_{U + {i}}) - ||v_i||^2.  The child's floor is
+first set to the larger of the two computed from bottom, lambda_min(R_{i+1})
+and the parent's floor, and is eigensolved only when that is below
+lo_bound + 2 slack.  Every floor is thus at most 4 eta above the exact
+lambda_min(A_U): an eigensolved one by eta; the first bound by 2 eta plus one
+rounding of u (2T + 1); the second adds to its parent's excess the rounding
+of one subtraction and one squared norm, and along a chain of such children
+each index is subtracted once, which adds at most (m + d) u (2T + 1) <= eta.
+A certified floor, at least lo_bound + 4 eta, then leaves the exact
+lambda_min(A_U) at least lo_bound, and every computed value of it at least
+lo_bound - eta: the certified entry is kept exactly when an eigensolved
+floor would keep it.
 """
 from __future__ import annotations
 
@@ -95,9 +143,14 @@ def derive_params(inst: Instance, c: float, epsilon: float,
 
 @dataclass
 class SolveStats:
+    """Counters of one solve.  peak_level_size, like the max_level_size cap,
+    counts the entries of a level that survive the size filter and the prune;
+    pruned counts the entries the completion bound dropped."""
+
     levels_processed: int = 0
     peak_level_size: int = 0
     size_filtered: int = 0
+    pruned: int = 0
     dedup_hits: int = 0
 
     def to_dict(self) -> dict:
@@ -105,8 +158,16 @@ class SolveStats:
             "levels_processed": self.levels_processed,
             "peak_level_size": self.peak_level_size,
             "size_filtered": self.size_filtered,
+            "pruned": self.pruned,
             "dedup_hits": self.dedup_hits,
         }
+
+
+def rounding_slack(inst: Instance) -> float:
+    """2 eta: the most by which computed eigenvalues of the Grams of two nested
+    subsets can contradict the Loewner order (module docstring)."""
+    m, d = inst.vectors.shape
+    return 2 * (m + 64 * d * d + 2) * 2.0 ** -53 * (2 * float(np.sum(inst.vectors**2)) + 1)
 
 
 @dataclass(frozen=True)
@@ -147,20 +208,29 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
     params = params_override if params_override is not None else derive_params(inst, c, epsilon)
     c, epsilon = params.c, params.epsilon  # override wins when both are given
     m = inst.num_vectors
-    stats = SolveStats(peak_level_size=1)
+    stats = SolveStats()
     ca = c * math.sqrt(inst.alpha)
     lo_bound = (1.0 - epsilon) * (0.5 - ca)
     hi_bound = (1.0 + epsilon) * (0.5 + ca)
+
+    slack = rounding_slack(inst)
+    tails = np.arange(m) >= np.arange(m + 1)[:, None]  # row j: the indices j, ..., m-1
+    tail_lo = eig_extremes_stack(inst.grams(tails))[0]  # lambda_min(R_j)
 
     root = new_state(inst.dim, params.mu, params.delta)
     members = np.zeros((1, m), dtype=bool)
     sums = root.b.a[None]
     counts = np.zeros(1, dtype=np.int64)
     hashes = np.array([root.ledger_hash], dtype=np.uint64)
+    top, bottom, floor = np.zeros(1), np.zeros(1), tail_lo[:1].copy()
     for i in range(m):
         alive = counts <= params.n
         stats.size_filtered += int(np.count_nonzero(~alive))
-        members, sums, counts, hashes = members[alive], sums[alive], counts[alive], hashes[alive]
+        live = alive & ~((top > hi_bound + slack) | (floor < lo_bound - slack))
+        stats.pruned += int(np.count_nonzero(alive & ~live))
+        members, sums, counts, hashes = members[live], sums[live], counts[live], hashes[live]
+        top, bottom, floor = top[live], bottom[live], floor[live]
+        _note_level(stats, params.max_level_size, i, len(members))
         stats.levels_processed += 1
 
         grown = members.copy()
@@ -188,16 +258,25 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
         last = np.cumsum(1 + kept) - 1
         fresh = last[kept]
         members, sums, counts, hashes = members[parent], sums[parent], counts[parent], hashes[parent]
+        top, bottom, floor = top[parent], bottom[parent], floor[parent]
         members[last, i] = True
         sums[fresh] += weights[:, None, None] * np.outer(v, v)
         counts[fresh] += 1
         hashes[fresh] = fold_ledger_hashes(hashes[fresh], i, weights)
+        top[last], bottom[last] = hi, lo
+        if i + 1 < m:  # exclude children lose v_i from U; the final level is not pruned
+            out = fresh - 1
+            floor[out] = np.maximum(bottom[out] + tail_lo[i + 1], floor[out] - v @ v)
+            need = out[floor[out] < lo_bound + 2 * slack]
+            floor[need] = eig_extremes_stack(inst.grams(members[need] | tails[i + 1]))[0]
 
-        stats.peak_level_size = max(stats.peak_level_size, len(parent))
-        if params.max_level_size is not None and len(parent) > params.max_level_size:
-            raise ResourceExhausted(
-                f"level {i + 1} holds {len(parent)} entries > cap {params.max_level_size}",
-                stats=stats)
-
+    _note_level(stats, params.max_level_size, m, len(members))
     final = [tuple(np.flatnonzero(row).tolist()) for row in members] if collect_subsets else None
     return SolveOutcome("not-found", None, None, stats, final_subsets=final)
+
+
+def _note_level(stats: SolveStats, cap: Optional[int], level: int, size: int) -> None:
+    """Record a level's size after the size filter and the prune; enforce the cap."""
+    stats.peak_level_size = max(stats.peak_level_size, size)
+    if cap is not None and size > cap:
+        raise ResourceExhausted(f"level {level} holds {size} entries > cap {cap}", stats=stats)

@@ -1,6 +1,9 @@
 """Shared fixtures: small hand-built instances and seeded generators."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ks2 import CnfFormula, F_SAT3, F_UNSAT4, Instance, ks_form_to_instance, prng, validate
 from ks2.prng import Stream, derive_key
@@ -49,6 +52,41 @@ def stress_instance(pairs_per_axis: int = 2) -> Instance:
         rows[k + j, 1] = scale
     rows[2 * k, 2] = 1.0
     return validate(Instance(rows))
+
+
+def bound_survivors(inst: Instance, lo: Fraction, hi: Fraction) -> set:
+    """Final level of a forced-sampling solve that the completion bound leaves, exactly.
+
+    The instance must be axis-aligned, so every A_S is diagonal and its
+    eigenvalues are its diagonal sums, computed here as Fractions.  A prefix
+    S of {0, ..., i-1} is ruled out at level i when max diag A_S > hi or
+    min diag A_{S + {i, ..., m-1}} < lo; every other prefix is extended both
+    ways.  The final level is not pruned.  Every compared value must lie at
+    least 1e-6 from lo and hi, so that rounding and the solver's slack cannot
+    change a decision.
+    """
+    m, d = inst.vectors.shape
+    axes = [np.flatnonzero(row) for row in inst.vectors]
+    assert all(len(a) == 1 for a in axes), "instance is not axis-aligned"
+    sq = [(int(a[0]), Fraction(float(row[a[0]])) ** 2) for a, row in zip(axes, inst.vectors)]
+
+    def diag(subset):
+        out = [Fraction(0)] * d
+        for k in subset:
+            out[sq[k][0]] += sq[k][1]
+        return out
+
+    def check(value, bound):
+        assert abs(value - bound) >= Fraction(1, 10**6), (value, bound)
+        return value
+
+    level = [()]
+    for i in range(m):
+        level = [s for s in level
+                 if check(max(diag(s)), hi) <= hi
+                 and check(min(diag(s + tuple(range(i, m)))), lo) >= lo]
+        level = [s + extra for s in level for extra in ((), (i,))]
+    return {frozenset(s) for s in level}
 
 
 @pytest.fixture
@@ -116,3 +154,20 @@ def random_rotation(d: int, seed: int) -> np.ndarray:
     a = np.array([s.normals(d) for _ in range(d)])
     q, r = np.linalg.qr(a)
     return q * np.sign(np.diag(r))
+
+
+@st.composite
+def gram_families(draw):
+    """Vectors whose subset Grams include generic, rank-deficient and
+    repeated-eigenvalue matrices (scaled orthonormal rows, repeated)."""
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["generic", "rank-deficient", "repeated"]))
+    if kind == "generic":
+        return rng.standard_normal((d + draw(st.integers(0, 3)), d))
+    if kind == "rank-deficient":
+        return rng.standard_normal((draw(st.integers(1, max(1, d - 1))), d)) * draw(
+            st.sampled_from([1e-3, 1.0, 10.0]))
+    q = np.eye(d) if draw(st.booleans()) else np.linalg.qr(rng.standard_normal((d, d)))[0]
+    scales = draw(st.lists(st.sampled_from([0.5, 2**-0.5, 1.0, 0.1]), min_size=1, max_size=2))
+    return np.concatenate([q * s for s in scales])

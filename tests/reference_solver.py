@@ -2,8 +2,12 @@
 
 This is the solver as it was before levels became arrays: one Python
 object per level entry, one gate eigensolve and one sparsifier.observe call
-per entry, and an explicit dedup pass on ledger tuples.  The tests compare
-the batched solver against it outcome for outcome, stats included.
+per entry, and an explicit dedup pass on ledger tuples.  Its completion-bound
+prune eigensolves A_S and A_{S + {i, ..., m-1}} of every entry from scratch
+at the top of each level, with the slack of reference_oracle.rounding_bound,
+where the batched solver carries top and floor from parent to child.  The
+tests compare the batched solver against it outcome for outcome, stats
+included; prune=False gives the unpruned search.
 """
 from __future__ import annotations
 
@@ -19,6 +23,8 @@ from ks2.instance import Instance, check_subset, validate
 from ks2.solver import SolveOutcome, SolverParams, SolveStats, derive_params
 from ks2.sparsifier import SparsifierState, new_state, observe
 
+from reference_oracle import rounding_bound
+
 
 @dataclass(frozen=True)
 class LevelEntry:
@@ -28,12 +34,30 @@ class LevelEntry:
     state: SparsifierState
 
 
+def _eig(inst, subset) -> np.ndarray:
+    rows = inst.vectors[list(subset)]
+    return np.linalg.eigvalsh(rows.T @ rows)
+
+
+def _can_gate(inst, entry: LevelEntry, i: int, lo_bound: float, hi_bound: float,
+              slack: float) -> bool:
+    """False when the completion bound rules out every set the entry can still gate."""
+    top = _eig(inst, entry.subset)[-1]
+    floor = _eig(inst, entry.subset + tuple(range(i, inst.num_vectors)))[0]
+    return not (top > hi_bound + slack or floor < lo_bound - slack)
+
+
+def _note_level(stats: SolveStats, cap: Optional[int], level: int, size: int) -> None:
+    stats.peak_level_size = max(stats.peak_level_size, size)
+    if cap is not None and size > cap:
+        raise ResourceExhausted(f"level {level} holds {size} entries > cap {cap}", stats=stats)
+
+
 def _process_entry(inst, entry: LevelEntry, i: int, lo_bound: float, hi_bound: float,
                    seed: int, force_sample: bool):
     """Gate S + {i}; if it fails, observe v_i and emit the child entries."""
     grown = entry.subset + (i,)
-    rows = inst.vectors[list(grown)]
-    eig = np.linalg.eigvalsh(rows.T @ rows)
+    eig = _eig(inst, grown)
     if lo_bound <= eig[0] and eig[-1] <= hi_bound:
         return grown, None
     if force_sample:
@@ -51,7 +75,8 @@ def _process_entry(inst, entry: LevelEntry, i: int, lo_bound: float, hi_bound: f
 def reference_solve(inst: Instance, c: float, epsilon: float, seed: int,
                     params_override: Optional[SolverParams] = None,
                     force_sample: bool = False,
-                    collect_subsets: bool = False) -> SolveOutcome:
+                    collect_subsets: bool = False,
+                    prune: bool = True) -> SolveOutcome:
     """Same contract as ks2.solver.solve, one entry at a time."""
     if not inst.validated:
         inst = validate(inst)
@@ -62,15 +87,19 @@ def reference_solve(inst: Instance, c: float, epsilon: float, seed: int,
     ca = c * math.sqrt(inst.alpha)
     lo_bound = (1.0 - epsilon) * (0.5 - ca)
     hi_bound = (1.0 + epsilon) * (0.5 + ca)
+    slack = rounding_bound(inst.vectors)
 
     level = [LevelEntry((), new_state(inst.dim, params.mu, params.delta))]
-    stats.peak_level_size = 1
     for i in range(m):
         survivors = [e for e in level if e.state.sample_count <= params.n]
         stats.size_filtered += len(level) - len(survivors)
+        gating = [e for e in survivors
+                  if not prune or _can_gate(inst, e, i, lo_bound, hi_bound, slack)]
+        stats.pruned += len(survivors) - len(gating)
+        _note_level(stats, params.max_level_size, i, len(gating))
         stats.levels_processed += 1
         results = [_process_entry(inst, e, i, lo_bound, hi_bound, seed, force_sample)
-                   for e in survivors]
+                   for e in gating]
 
         for hit, _ in results:  # earliest gate hit in entry order wins
             if hit is not None:
@@ -91,11 +120,7 @@ def reference_solve(inst: Instance, c: float, epsilon: float, seed: int,
                 seen[key] = len(next_level)
                 next_level.append(child)
         level = next_level
-        stats.peak_level_size = max(stats.peak_level_size, len(level))
-        if params.max_level_size is not None and len(level) > params.max_level_size:
-            raise ResourceExhausted(
-                f"level {i + 1} holds {len(level)} entries > cap {params.max_level_size}",
-                stats=stats)
 
+    _note_level(stats, params.max_level_size, m, len(level))
     final = [e.subset for e in level] if collect_subsets else None
     return SolveOutcome("not-found", None, None, stats, final_subsets=final)

@@ -4,9 +4,9 @@ Run as `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, none is calibrated elsewhere.
 """
 import dataclasses
-import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ks2.reduction import (
 from ks2.solver import derive_params, solve
 from ks2.sparsifier import new_state, observe
 
-from conftest import random_3cnf, random_rotation, stress_instance
+from conftest import bound_survivors, random_3cnf, random_rotation, stress_instance
 
 INV_8R2 = 1.0 / (8.0 * math.sqrt(2.0))
 
@@ -232,6 +232,9 @@ def test_criterion_10_power_set_harness(forced_sampling):
         rows.append(np.eye(d)[len(counts)])
         return validate(Instance(np.array(rows)))
 
+    # Every A_S is diagonal here, so the subsets the completion bound leaves
+    # are computed exactly; band (1 -+ 0.1)(1/2 -+ 0.1) as alpha = 1.
+    band = Fraction(9, 10) * Fraction(4, 10), Fraction(11, 10) * Fraction(6, 10)
     ok = True
     details = []
     for counts in [(4, 4), (5, 6)]:  # m = 9 and m = 12
@@ -240,8 +243,7 @@ def test_criterion_10_power_set_harness(forced_sampling):
         params = dataclasses.replace(derive_params(inst, 0.1, 0.1), n=m + 1)
         out = solve(inst, 0.1, 0.1, seed=0, params_override=params, collect_subsets=True)
         got = {frozenset(s) for s in out.final_subsets}
-        want = {frozenset(c) for r in range(m + 1)
-                for c in itertools.combinations(range(m), r)}
-        ok = ok and (not out.found) and got == want
-        details.append(f"m={m}: {len(got)}/{len(want)}")
-    report(10, "forced-sampling power-set equivalence", ok, ", ".join(details), t0)
+        want = bound_survivors(inst, *band)
+        ok = ok and inst.alpha == 1.0 and not out.found and out.stats.pruned > 0 and got == want
+        details.append(f"m={m}: {len(got)}/{len(want)} of {2**m}, pruned {out.stats.pruned}")
+    report(10, "forced-sampling completion-bound harness", ok, ", ".join(details), t0)

@@ -68,6 +68,8 @@ class TestSolveVerify:
                         "--epsilon", "0.1", "--seed", "1")
         assert code == 1
         assert res["status"] == "not-found"
+        # Completion-bound pruning keeps 72 of the 512 subsets of the last level.
+        assert res["stats"]["pruned"] > 0 and res["stats"]["peak_level_size"] == 72
 
     def test_bad_file_is_usage_error(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "missing.json"),

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ks2 import Instance, gen_planted, gen_random, subset_distance, validate
 from ks2 import oracle as oracle_mod
@@ -9,7 +8,7 @@ from ks2.errors import TooLarge
 from ks2.linalg import distance_half, eig_extremes_stack
 from ks2.oracle import _bb_search, branch_bound_w, brute_force_w, with_threshold
 
-from conftest import random_rotation
+from conftest import gram_families, random_rotation
 from reference_oracle import (
     bits,
     reference_branch_bound_w,
@@ -277,23 +276,6 @@ def test_shuffled_vectors_keep_w(seed):
         a, b = search(inst), search(shuffled)
         assert b.w_value == subset_distance(shuffled, b.argmin_subset)
         assert abs(a.w_value - b.w_value) <= 3 * eps, (a.w_value, b.w_value)
-
-
-@st.composite
-def gram_families(draw):
-    """Vectors whose subset Grams include generic, rank-deficient and
-    repeated-eigenvalue matrices (scaled orthonormal rows, repeated)."""
-    d = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["generic", "rank-deficient", "repeated"]))
-    if kind == "generic":
-        return rng.standard_normal((d + draw(st.integers(0, 3)), d))
-    if kind == "rank-deficient":
-        return rng.standard_normal((draw(st.integers(1, max(1, d - 1))), d)) * draw(
-            st.sampled_from([1e-3, 1.0, 10.0]))
-    q = np.eye(d) if draw(st.booleans()) else np.linalg.qr(rng.standard_normal((d, d)))[0]
-    scales = draw(st.lists(st.sampled_from([0.5, 2**-0.5, 1.0, 0.1]), min_size=1, max_size=2))
-    return np.concatenate([q * s for s in scales])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

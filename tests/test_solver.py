@@ -1,15 +1,18 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ks2 import Instance, check_subset, gen_planted, gen_random, validate
 from ks2.errors import InfeasibleParameters, ResourceExhausted
-from ks2.solver import derive_params, solve
+from ks2.linalg import eig_extremes_stack
+from ks2.solver import derive_params, rounding_slack, solve
 
-from conftest import stress_instance
+from conftest import bound_survivors, gram_families, stress_instance
 from reference_solver import reference_solve
 
 
@@ -91,6 +94,16 @@ class TestSolve:
             solve(stress_notfound, 0.1, 0.1, seed=1, params_override=params)
         assert exc.value.stats is not None
 
+    def test_level_cap_counts_survivors(self, stress_notfound):
+        # The cap counts the entries that survive the prune: 72 of the 512
+        # subsets of the final level, which the unpruned search holds whole.
+        params = dataclasses.replace(
+            derive_params(stress_notfound, 0.1, 0.1), max_level_size=72)
+        out = solve(stress_notfound, 0.1, 0.1, seed=1, params_override=params)
+        assert not out.found and out.stats.peak_level_size == 72
+        with pytest.raises(ResourceExhausted):
+            reference_solve(stress_notfound, 0.1, 0.1, 1, params_override=params, prune=False)
+
     def test_size_filter_accounting(self, stress_notfound):
         # n = 0 drops every entry that sampled anything.
         params = dataclasses.replace(
@@ -100,17 +113,23 @@ class TestSolve:
         assert out.stats.size_filtered > 0
 
     def test_power_set_equivalence_small(self, forced_sampling):
-        # Forced sampling with an inactive size filter must enumerate every
-        # subset as a representative (none satisfies the band here).
+        # Forced sampling with an inactive size filter keeps every subset
+        # that the completion bound cannot rule out (none satisfies the band
+        # here); without the prune the final level is the whole power set.
         inst = stress_instance(1)  # m = 5
         m = inst.num_vectors
         params = dataclasses.replace(derive_params(inst, 0.1, 0.1), n=m + 1)
         out = solve(inst, 0.1, 0.1, seed=0, params_override=params, collect_subsets=True)
-        assert not out.found
+        assert not out.found and out.stats.pruned > 0
         got = {frozenset(s) for s in out.final_subsets}
-        want = {frozenset(c) for r in range(m + 1)
-                for c in itertools.combinations(range(m), r)}
-        assert got == want
+        assert inst.alpha == 1.0  # band (1 -+ 0.1)(1/2 -+ 0.1)
+        band = Fraction(9, 10) * Fraction(4, 10), Fraction(11, 10) * Fraction(6, 10)
+        assert got == bound_survivors(inst, *band)
+        assert len(got) == 8
+        full = reference_solve(inst, 0.1, 0.1, seed=0, params_override=params,
+                               force_sample=True, collect_subsets=True, prune=False)
+        assert {frozenset(s) for s in full.final_subsets} == {
+            frozenset(c) for r in range(m + 1) for c in itertools.combinations(range(m), r)}
 
     def test_found_statistics_shape(self):
         inst, _ = gen_planted(3, 4, seed=1)
@@ -119,6 +138,26 @@ class TestSolve:
         assert d["status"] == "found"
         assert isinstance(d["stats"]["levels_processed"], int)
         assert d["lambda_min"] is not None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gram_families())
+def test_prune_slack_is_sound(vectors):
+    # For every level i and prefix S of the first i vectors, top = lambda_max
+    # of A_S and floor = lambda_min of A_{S + {i, ..., m-1}}, computed as the
+    # solver computes them, bound the computed extremes of every set G that a
+    # descendant gates (S < G <= S + {i, ..., m-1}) up to the slack.  Column
+    # S and row T of the reshaped table hold the subset S + (T shifted by i).
+    inst = Instance(vectors)
+    m = inst.num_vectors
+    slack = rounding_slack(inst)
+    rows = (np.arange(2**m)[:, None] >> np.arange(m) & 1).astype(bool)
+    lo, hi = eig_extremes_stack(inst.grams(rows))
+    for i in range(m):
+        lo_i, hi_i = lo.reshape(2 ** (m - i), 2**i), hi.reshape(2 ** (m - i), 2**i)
+        top, floor = hi_i[0], lo_i[-1]
+        assert np.all(top - slack <= hi_i[1:].min(axis=0))
+        assert np.all(floor + slack >= lo_i[1:].max(axis=0))
 
 
 def _with(inst, c, epsilon, **changes):
@@ -181,3 +220,42 @@ def test_matches_per_entry_reference(case, request):
         assert got[1].__name__ == "DegenerateDimension"
     if case == "unsaturated-mu1":
         assert got[1] is ResourceExhausted
+
+
+UNPRUNED_CASES = {
+    **{f"planted-d{d}-k{k}-{s}": (lambda d=d, k=k, s=s: (gen_planted(d, k, seed=s)[0], {}),
+                                  0.1, 0.3, s)
+       for d, k in ((3, 4), (5, 8)) for s in (0, 1)},
+    **{f"random-4-14-c{c}": (lambda: (gen_random(4, 14, seed=1), {}), c, 0.3, 1)
+       for c in (0.02, 0.05, 0.1, 0.2)},
+    # The unpruned per-entry reference holds 2^15 entries here; at m = 18 its
+    # 2^17 per-entry states would take about half a gigabyte.
+    "random-6-16-not-found": (lambda: (gen_random(6, 16, seed=0), {}), 0.02, 0.3, 0),
+    "unsaturated-mu1": REFERENCE_CASES["unsaturated-mu1"],
+    "forced-unsaturated-mu1": REFERENCE_CASES["forced-unsaturated-mu1"],
+}
+
+
+def _outcome(fn, inst, c, epsilon, seed, kwargs):
+    try:
+        out = fn(inst, c, epsilon, seed, **kwargs)
+    except ResourceExhausted as exc:
+        return ("raised",), exc.stats
+    return (out.status, out.subset, out.report), out.stats
+
+
+@pytest.mark.parametrize("case", sorted(UNPRUNED_CASES))
+def test_prune_keeps_unpruned_outcome(case, request):
+    # Pruning drops only entries that can never gate: status, subset and
+    # report are those of the unpruned search, on no larger levels.
+    build, c, epsilon, seed = UNPRUNED_CASES[case]
+    inst, kwargs = build()
+    if case in FORCED:
+        request.getfixturevalue("forced_sampling")
+    got, stats = _outcome(solve, inst, c, epsilon, seed, kwargs)
+    want, full = _outcome(reference_solve, inst, c, epsilon, seed,
+                          dict(kwargs, force_sample=case in FORCED, prune=False))
+    assert got == want
+    assert stats.peak_level_size <= full.peak_level_size and full.pruned == 0
+    if case == "random-6-16-not-found":
+        assert got[0] == "not-found" and stats.pruned > 0
