@@ -2,7 +2,7 @@
 
 Provides: an isotropic-instance data model with generators and file I/O; a
 randomised level-set solver backed by online spectral sparsifiers; an exact
-brute-force discrepancy oracle; and the NAE-3SAT reduction pipeline that
+branch-and-bound discrepancy oracle; and the NAE-3SAT reduction pipeline that
 builds hard vector instances with verifiable certificates.
 """
 

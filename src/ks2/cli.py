@@ -91,10 +91,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = _load_validated(args.instance, args.iso_tol)
-    if args.mode == "branch-bound":
-        res = oracle_mod.branch_bound_w(inst, node_limit=args.node_limit)
-    else:
-        res = oracle_mod.brute_force_w(inst, m_limit=args.m_limit)
+    res = oracle_mod.branch_bound_w(inst, node_limit=args.node_limit)
     if args.c is not None:
         res = oracle_mod.with_threshold(inst, res, args.c)
     _emit(res.to_dict())
@@ -218,12 +215,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--subset-out")
     s.set_defaults(func=_cmd_solve)
 
-    o = sub.add_parser("oracle", help="exact minimum discrepancy by enumeration")
+    o = sub.add_parser("oracle", help="exact minimum discrepancy by branch-and-bound")
     o.add_argument("instance")
     o.add_argument("--c", type=float)
-    o.add_argument("--m-limit", type=int, default=oracle_mod.DEFAULT_M_LIMIT)
-    o.add_argument("--mode", choices=["exhaustive", "branch-bound"], default="exhaustive")
-    o.add_argument("--node-limit", type=int, help="branch-bound: stop after this many nodes")
+    o.add_argument("--node-limit", type=int, default=2 ** (oracle_mod.DEFAULT_M_LIMIT + 1) - 1,
+                   help="stop after this many nodes (default: enough for any m <= 24)")
     o.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
     o.set_defaults(func=_cmd_oracle)
 

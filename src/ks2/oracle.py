@@ -1,8 +1,9 @@
 """Ground-truth discrepancy by branch-and-bound over all 2^m subsets.
 
 W(inst) is the minimum over all 2^m subsets S of the worst-direction
-deviation dev(S) = ||A_S - I/2|| of A_S = sum_{i in S} v_i v_i^T.  Both entry
-points run one search.  It decides the vectors in descending squared norm (a
+deviation dev(S) = ||A_S - I/2|| of A_S = sum_{i in S} v_i v_i^T.  One search
+computes it: branch_bound_w, which brute_force_w runs with m capped.  The
+search decides the vectors in descending squared norm (a
 stable argsort: equal norms keep input order) and prunes a partial choice over
 the first i of them when even the best completion cannot beat the incumbent:
 any completion A_S satisfies P <= A_S <= P + R_i (P = partial sum, R_i = mass
@@ -46,16 +47,15 @@ eps = 2 eta.  A subtree is pruned only when its bound is >= the incumbent,
 which never rises; so the least computed leaf deviation w~ was either
 evaluated or lies under a pruned node whose bound is at most w~ + eps, and the
 minimum the search returns is at most w~ + eps.  Hence the reported w lies in
-[W - eta, W + 5 eta]: two runs, in either mode or any vector order, and a pass
-that evaluates every subset, report w within 3 eps of each other.  eps is inf
-once 2T + 1 overflows.
+[W - eta, W + 5 eta]: two runs, in any vector order, and a pass that evaluates
+every subset, report w within 3 eps of each other.  eps is inf once 2T + 1
+overflows.
 
-Both modes report w = subset_distance(argmin), recomputed from scratch on the
+The reported w = subset_distance(argmin) is recomputed from scratch on the
 returned subset (input indices), so w never carries accumulator rounding.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -74,20 +74,19 @@ class OracleResult:
     w_value: float
     argmin_subset: tuple[int, ...]
     subsets_examined: int
+    eigensolved: int  # leaves evaluated
+    nodes: int  # popped nodes, as node_limit counts them
     feasible_eq1: Optional[bool] = None
     c: Optional[float] = None
-    eigensolved: Optional[int] = None  # exhaustive: leaves evaluated
-    nodes: Optional[int] = None  # branch-and-bound: popped nodes, as node_limit counts them
 
     def to_dict(self) -> dict:
         d = {
             "w": self.w_value,
             "subset": list(self.argmin_subset),
             "examined": self.subsets_examined,
+            "eigensolved": self.eigensolved,
+            "nodes": self.nodes,
         }
-        for key in ("eigensolved", "nodes"):
-            if getattr(self, key) is not None:
-                d[key] = getattr(self, key)
         if self.feasible_eq1 is not None:
             d["feasible_eq1"] = self.feasible_eq1
             d["c"] = self.c
@@ -96,17 +95,11 @@ class OracleResult:
 
 def brute_force_w(inst: Instance, m_limit: int = DEFAULT_M_LIMIT,
                   threads: int = 1) -> OracleResult:
-    """Exact W by the search: examined is 2^m, as every subset is evaluated or
-    ruled out by the completion bound, and eigensolved counts the leaves
-    evaluated.  threads is ignored; the benchmark's workloads pass threads=1.
-    """
-    m = inst.num_vectors
-    if m > m_limit:
-        raise TooLarge(f"m = {m} exceeds m_limit = {m_limit}")
-    if m > DEFAULT_M_LIMIT:
-        warnings.warn(f"enumerating 2^{m} subsets; this may take a while", RuntimeWarning)
-    subset, leaves, _ = _search(inst, None)
-    return OracleResult(subset_distance(inst, subset), subset, 1 << m, eigensolved=leaves)
+    """branch_bound_w(inst), refused with TooLarge when m exceeds m_limit.
+    threads is ignored; the benchmark's workloads pass threads=1."""
+    if inst.num_vectors > m_limit:
+        raise TooLarge(f"m = {inst.num_vectors} exceeds m_limit = {m_limit}")
+    return branch_bound_w(inst)
 
 
 def with_threshold(inst: Instance, res: OracleResult, c: float) -> OracleResult:
@@ -115,15 +108,6 @@ def with_threshold(inst: Instance, res: OracleResult, c: float) -> OracleResult:
         raise BadParams(f"c must be finite and non-negative, got {c}")
     feasible = res.w_value <= c * float(np.sqrt(inst.alpha))
     return replace(res, feasible_eq1=feasible, c=c)
-
-
-def _search(inst: Instance, node_limit: Optional[int]) -> tuple[tuple[int, ...], int, int]:
-    """_bb_search over the vectors in descending squared norm: (argmin in input
-    indices, leaves, popped nodes)."""
-    v = inst.vectors
-    order = np.argsort(-(v * v).sum(axis=1), kind="stable")
-    _, chosen, leaves, nodes = _bb_search(replace(inst, vectors=v[order]), node_limit)
-    return tuple(sorted(order[list(chosen)].tolist())), leaves, nodes
 
 
 def _bb_search(inst: Instance,
@@ -174,11 +158,15 @@ def _bb_search(inst: Instance,
 
 
 def branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -> OracleResult:
-    """W by blocked depth-first search with completion-bound pruning.
+    """Exact W by _bb_search over the vectors in descending squared norm.
 
-    w is subset_distance(argmin), like brute_force_w's; subsets_examined
-    counts evaluated leaves and nodes the popped nodes; node_limit raises
-    TooLarge when nodes would exceed it.
+    examined is 2^m, as every subset is evaluated or ruled out by the
+    completion bound; eigensolved counts the leaves evaluated and nodes the
+    popped nodes, at most 2^(m+1) - 1; node_limit raises TooLarge when nodes
+    would exceed it.
     """
-    subset, leaves, nodes = _search(inst, node_limit)
-    return OracleResult(subset_distance(inst, subset), subset, leaves, nodes=nodes)
+    v = inst.vectors
+    order = np.argsort(-(v * v).sum(axis=1), kind="stable")
+    _, chosen, leaves, nodes = _bb_search(replace(inst, vectors=v[order]), node_limit)
+    subset = tuple(sorted(order[list(chosen)].tolist()))
+    return OracleResult(subset_distance(inst, subset), subset, 1 << len(v), leaves, nodes)

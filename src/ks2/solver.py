@@ -17,11 +17,11 @@ wrong only when a valid subset exists and every sampling path missed it.
 
 A level is stored as arrays in entry order: a bool membership matrix
 (L, m), the sparsifier sums B (L, d, d), the sample counts, the ledger
-hashes and the pruning bounds top, bottom and floor (L,).  Each level makes
-one batched gate eigensolve, one batched shifted solve for the sampling
+hashes and the pruning bounds top and floor (L,).  Each level makes one
+batched gate eigensolve, one batched shifted solve for the sampling
 probabilities, one vectorised draw, only for entries with 0 < p < 1 (a draw
-cannot change a keep at p = 1), and one eigensolve for the floors that no
-bound certifies.  Every step
+cannot change a keep at p = 1), and one eigensolve for the floors that the
+parent's floor does not certify.  Every step
 is bit-identical to the per-entry path through sparsifier.observe, which
 tests/reference_solver.py keeps as the reference solver.
 
@@ -40,10 +40,10 @@ the Loewner order, and lambda_max(A_G) >= lambda_max(A_S) and
 lambda_min(A_G) <= lambda_min(A_U) hold exactly.  Each entry carries
     top = lambda_max(A_S): 0 at the root; an exclude child keeps its
           parent's, an include child takes the gate's hi;
-    bottom = lambda_min(A_S), likewise (an include child takes the gate's lo);
-    floor, for lambda_min(A_U): an include child keeps its parent's (the same
-          U); an exclude child, whose U lacks v_i, eigensolves A_U unless a
-          bound certifies that it cannot be pruned (below).
+    floor, for lambda_min(A_U): eigensolved at the root; an include child
+          keeps its parent's (the same U); an exclude child, whose U lacks
+          v_i, eigensolves A_U unless its parent's floor certifies that it
+          cannot be pruned (below).
 Let u = 2^-53, T the computed sum of squares of all entries and
 eta = (m + 64 d^2 + 2) u (2T + 1).  Every computed eigenvalue of a Gram that
 the solver eigensolves is within eta of the exact eigenvalue of A_S, by the
@@ -62,26 +62,24 @@ size_filtered (entries that would have been filtered below a pruned one) and
 the level at which max_level_size fires can differ.  The final level is not
 pruned.
 
-The certificate.  With R_j the Gram of vectors j, ..., m-1, Weyl's inequality
-gives two lower bounds for an exclude child made at level i:
-lambda_min(A_U) >= lambda_min(A_S) + lambda_min(R_{i+1}) and
-lambda_min(A_U) >= lambda_min(A_{U + {i}}) - ||v_i||^2.  The child's floor is
-first set to the larger of the two computed from bottom, lambda_min(R_{i+1})
-and the parent's floor, and is eigensolved only when that is below
-lo_bound + 2 slack.  Every floor is thus at most 4 eta above the exact
-lambda_min(A_U): an eigensolved one by eta; the first bound by 2 eta plus one
-rounding of u (2T + 1); the second adds to its parent's excess the rounding
-of one subtraction and one squared norm, and along a chain of such children
-each index is subtracted once, which adds at most (m + d) u (2T + 1) <= eta.
-A certified floor, at least lo_bound + 4 eta, then leaves the exact
-lambda_min(A_U) at least lo_bound, and every computed value of it at least
-lo_bound - eta: the certified entry is kept exactly when an eigensolved
-floor would keep it.
+The certificate.  An exclude child made at level i has U = U' - {i}, with U'
+its parent's U, and Weyl's inequality gives lambda_min(A_U) >=
+lambda_min(A_U') - ||v_i||^2.  The child's floor is first set to its parent's
+floor minus v_i . v_i, and is eigensolved only when that is below
+lo_bound + 2 slack.  The root's floor and every eigensolved floor are within
+eta of the exact lambda_min(A_U).  Any other floor comes from an eigensolved
+one by a chain of such subtractions, in which each index is subtracted at
+most once; their rounding and that of the squared norms add at most
+(m + d) u (2T + 1) <= eta, so every floor is at most 2 eta above the exact
+lambda_min(A_U).  A certified floor, at least lo_bound + 4 eta, then leaves
+the exact lambda_min(A_U) at least lo_bound + 2 eta, and every computed value
+of it at least lo_bound + eta: the certified entry is kept exactly when an
+eigensolved floor would keep it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -154,13 +152,7 @@ class SolveStats:
     dedup_hits: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "levels_processed": self.levels_processed,
-            "peak_level_size": self.peak_level_size,
-            "size_filtered": self.size_filtered,
-            "pruned": self.pruned,
-            "dedup_hits": self.dedup_hits,
-        }
+        return asdict(self)
 
 
 def rounding_slack(inst: Instance) -> float:
@@ -215,21 +207,20 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
 
     slack = rounding_slack(inst)
     tails = np.arange(m) >= np.arange(m + 1)[:, None]  # row j: the indices j, ..., m-1
-    tail_lo = eig_extremes_stack(inst.grams(tails))[0]  # lambda_min(R_j)
 
     root = new_state(inst.dim, params.mu, params.delta)
     members = np.zeros((1, m), dtype=bool)
     sums = root.b.a[None]
     counts = np.zeros(1, dtype=np.int64)
     hashes = np.array([root.ledger_hash], dtype=np.uint64)
-    top, bottom, floor = np.zeros(1), np.zeros(1), tail_lo[:1].copy()
+    top, floor = np.zeros(1), eig_extremes_stack(inst.grams(tails[:1]))[0]
     for i in range(m):
         alive = counts <= params.n
         stats.size_filtered += int(np.count_nonzero(~alive))
         live = alive & ~((top > hi_bound + slack) | (floor < lo_bound - slack))
         stats.pruned += int(np.count_nonzero(alive & ~live))
         members, sums, counts, hashes = members[live], sums[live], counts[live], hashes[live]
-        top, bottom, floor = top[live], bottom[live], floor[live]
+        top, floor = top[live], floor[live]
         _note_level(stats, params.max_level_size, i, len(members))
         stats.levels_processed += 1
 
@@ -258,15 +249,15 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
         last = np.cumsum(1 + kept) - 1
         fresh = last[kept]
         members, sums, counts, hashes = members[parent], sums[parent], counts[parent], hashes[parent]
-        top, bottom, floor = top[parent], bottom[parent], floor[parent]
+        top, floor = top[parent], floor[parent]
         members[last, i] = True
         sums[fresh] += weights[:, None, None] * np.outer(v, v)
         counts[fresh] += 1
         hashes[fresh] = fold_ledger_hashes(hashes[fresh], i, weights)
-        top[last], bottom[last] = hi, lo
+        top[last] = hi
         if i + 1 < m:  # exclude children lose v_i from U; the final level is not pruned
             out = fresh - 1
-            floor[out] = np.maximum(bottom[out] + tail_lo[i + 1], floor[out] - v @ v)
+            floor[out] -= v @ v
             need = out[floor[out] < lo_bound + 2 * slack]
             floor[need] = eig_extremes_stack(inst.grams(members[need] | tails[i + 1]))[0]
 

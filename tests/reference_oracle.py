@@ -41,6 +41,11 @@ def subset_sums(outers: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _evaluated_all(w: float, subset: tuple[int, ...], m: int) -> OracleResult:
+    """A result that evaluated all 2^m leaves, as if by popping every node of the full tree."""
+    return OracleResult(w, subset, 1 << m, 1 << m, (2 << m) - 1)
+
+
 def rounding_bound(vectors: np.ndarray) -> float:
     """eps of the ks2.oracle docstring: the most by which a computed completion
     bound can exceed the computed deviation of a leaf below it."""
@@ -61,7 +66,7 @@ def reference_table_w(inst: Instance, low_bits: int = LOW_BITS) -> OracleResult:
         t = int(np.argmin(dev))
         parts.append((float(dev[t]), h * len(low) + t))
     subset = bits(min(parts)[1], m)
-    return OracleResult(subset_distance(inst, subset), subset, 1 << m)
+    return _evaluated_all(subset_distance(inst, subset), subset, m)
 
 
 def reference_brute_force_w(inst: Instance) -> OracleResult:
@@ -71,14 +76,15 @@ def reference_brute_force_w(inst: Instance) -> OracleResult:
         w = spectral_distance_half(inst.gram(bits(t, m)))
         if w < best_w:
             best_w, best_t = w, t
-    return OracleResult(best_w, bits(best_t, m), 1 << m)
+    return _evaluated_all(best_w, bits(best_t, m), m)
 
 
 def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -> OracleResult:
     """W by depth-first search with completion-bound pruning.
 
-    Identical w_value to brute_force_w; subsets_examined counts evaluated
-    leaves.  node_limit (expanded nodes) raises TooLarge when exceeded.
+    Identical w_value to brute_force_w; eigensolved counts the evaluated
+    leaves and nodes the popped nodes.  node_limit raises TooLarge when nodes
+    would exceed it.
     """
     vectors = inst.vectors
     m, d = vectors.shape
@@ -116,4 +122,4 @@ def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -
         # Exclude branch explored first (pushed last).
         stack.append((i + 1, partial + outers[i], chosen + (i,)))
         stack.append((i + 1, partial, chosen))
-    return OracleResult(best_w, best_subset, leaves)
+    return OracleResult(best_w, best_subset, 1 << m, leaves, nodes)

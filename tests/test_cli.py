@@ -87,7 +87,7 @@ class TestOracle:
         assert code == 0
         assert res["w"] <= 1e-12
         assert res["examined"] == 2**8
-        assert 0 < res["eigensolved"] <= res["examined"] and "nodes" not in res
+        assert 0 < res["eigensolved"] <= res["nodes"] <= 2**9 - 1
 
     def test_oracle_feasibility_exit_codes(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -96,28 +96,17 @@ class TestOracle:
         code, res = run(capsys, "oracle", str(inst), "--c", "0.01")
         assert code == 0 and res["feasible_eq1"]
 
-    def test_branch_bound_mode(self, tmp_path, capsys):
-        inst = tmp_path / "inst.json"
-        run(capsys, "gen", "random", "--d", "3", "--m", "9", "--seed", "3",
-            "--out", str(inst))
-        code, res = run(capsys, "oracle", str(inst), "--mode", "branch-bound")
-        assert code == 0
-        assert res["nodes"] >= res["examined"] and "eigensolved" not in res
-        code2, res2 = run(capsys, "oracle", str(inst))
-        assert abs(res["w"] - res2["w"]) <= 1e-12
-
     def test_branch_bound_node_limit(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         run(capsys, "gen", "random", "--d", "3", "--m", "12", "--seed", "6",
             "--out", str(inst))
-        code = main(["oracle", str(inst), "--mode", "branch-bound", "--node-limit", "3"])
+        code = main(["oracle", str(inst), "--node-limit", "3"])
         captured = capsys.readouterr()
         assert code == 2
         lines = captured.out.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "too-large"
         assert "Traceback" not in captured.err
-        code, res = run(capsys, "oracle", str(inst), "--mode", "branch-bound",
-                        "--node-limit", "1000000", "--c", "0.01")
+        code, res = run(capsys, "oracle", str(inst), "--c", "0.01")
         assert code == 1 and res["feasible_eq1"] is False
 
 
@@ -254,12 +243,11 @@ class TestMalformedInput:
         assert code == 2 and res is None
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("mode", ["exhaustive", "branch-bound"])
-    def test_overflowing_gram_is_not_isotropic(self, tmp_path, capsys, mode):
+    def test_overflowing_gram_is_not_isotropic(self, tmp_path, capsys):
         # The Gram of a 1e200 entry overflows, so its isotropy deviation is NaN.
         inst = tmp_path / "inst.json"
         inst.write_text('{"d": 2, "vectors": [[1.0, 0.0], [0.0, 1.0], [1e200, 0.0]]}')
-        code = main(["oracle", str(inst), "--mode", mode, "--iso-tol", "1e300"])
+        code = main(["oracle", str(inst), "--iso-tol", "1e300"])
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
         assert "nan" in captured.err and "Traceback" not in captured.err
@@ -301,11 +289,10 @@ class TestMalformedInput:
         assert code == 2 and not captured.out, (code, captured.out)
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "branch-bound"])
-    def test_oracle_threshold_zero_is_valid(self, tmp_path, capsys, mode):
+    def test_oracle_threshold_zero_is_valid(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         run(capsys, "gen", "random", "--d", "3", "--m", "8", "--seed", "1", "--out", str(inst))
-        code, res = run(capsys, "oracle", str(inst), "--mode", mode, "--c", "0")
+        code, res = run(capsys, "oracle", str(inst), "--c", "0")
         assert code == 1 and res["c"] == 0.0 and res["feasible_eq1"] is False
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -507,16 +494,18 @@ class TestExitCodeContract:
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mutated(ORACLE_INSTANCE_TEXT))
-    @example(DEEP_JSON.encode())
-    def test_mutated_instance_oracle(self, capsys, tmp_path, content):
+    @given(mutated(ORACLE_INSTANCE_TEXT), st.integers(-2, 2**9))
+    @example(DEEP_JSON.encode(), 2000)
+    @example(ORACLE_INSTANCE_TEXT.encode(), 0)
+    @example(ORACLE_INSTANCE_TEXT.encode(), -1)
+    def test_mutated_instance_oracle(self, capsys, tmp_path, content, node_limit):
         # A loose --iso-tol lets non-isotropic vectors through to the oracle.
+        # Below 2^9 - 1 nodes the unmutated m = 8 instance can stop early.
         inst = tmp_path / "inst.json"
         inst.write_bytes(content)
-        self._check(capsys, ["oracle", str(inst), "--iso-tol", "1e6", "--m-limit", "10",
-                             "--c", "0.1"])
-        self._check(capsys, ["oracle", str(inst), "--iso-tol", "1e6", "--mode", "branch-bound",
-                             "--node-limit", "2000"])
+        self._check(capsys, ["oracle", str(inst), "--iso-tol", "1e6", "--c", "0.1"])
+        self._check(capsys, ["oracle", str(inst), "--iso-tol", "1e6",
+                             f"--node-limit={node_limit}"])
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

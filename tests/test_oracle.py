@@ -76,7 +76,7 @@ class TestBruteForce:
         inst = gen_random(3, 16, seed=5)
         a = brute_force_w(inst)
         b = brute_force_w(inst, threads=1)  # the benchmark's call; threads is ignored
-        assert a == b
+        assert a == b == branch_bound_w(inst)
         assert a.to_dict() == b.to_dict()
         assert 0 < a.eigensolved <= a.subsets_examined
 
@@ -84,12 +84,6 @@ class TestBruteForce:
         inst = gen_random(3, 10, seed=2)
         with pytest.raises(TooLarge):
             brute_force_w(inst, m_limit=8)
-
-    def test_raised_limit_warns(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "DEFAULT_M_LIMIT", 4)
-        inst = gen_random(3, 6, seed=2)
-        with pytest.warns(RuntimeWarning):
-            oracle_mod.brute_force_w(inst, m_limit=10)
 
     def test_negation_invariance(self):
         inst = gen_random(3, 9, seed=7)
@@ -161,7 +155,8 @@ class TestBranchBound:
             assert b.w_value == pytest.approx(a.w_value, abs=1e-12)
             assert subset_distance(inst, b.argmin_subset) == pytest.approx(
                 a.w_value, abs=1e-12)
-            assert b.subsets_examined <= a.subsets_examined
+            assert b.subsets_examined == a.subsets_examined
+            assert 0 < b.eigensolved <= a.eigensolved and b.nodes <= a.nodes
 
     def test_matches_on_planted(self):
         inst, _ = gen_planted(3, 5, seed=4)
@@ -177,8 +172,8 @@ class TestBranchBound:
         inst = gen_random(3, 12, seed=6)
         res = branch_bound_w(inst)
         assert res == branch_bound_w(inst)
-        assert res.to_dict()["nodes"] == res.nodes >= res.subsets_examined
-        assert "eigensolved" not in res.to_dict()
+        assert res.to_dict()["nodes"] == res.nodes >= res.eigensolved
+        assert res.to_dict()["eigensolved"] == res.eigensolved
         assert branch_bound_w(inst, node_limit=res.nodes) == res
         with pytest.raises(TooLarge):
             branch_bound_w(inst, node_limit=res.nodes - 1)
@@ -202,16 +197,18 @@ def test_blocked_search_matches_node_by_node_reference(request, kind, d, size, s
         inst, _ = gen_planted(d, size, seed=seed)
     else:
         inst, _ = request.getfixturevalue(kind)
-    w, _, leaves, _ = _bb_search(inst, None)
+    w, _, leaves, nodes = _bb_search(inst, None)
     assert w == reference_branch_bound_w(inst).w_value
     assert leaves <= 2 ** inst.num_vectors
+    # A full tree over m vectors has 2^(m+1) - 1 nodes: ks oracle's default --node-limit.
+    assert nodes <= 2 ** (inst.num_vectors + 1) - 1
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_reported_w_is_distance_of_argmin(seed):
     inst = gen_random(4, 12, seed=seed)
-    for res in (brute_force_w(inst), branch_bound_w(inst)):
-        assert res.w_value == subset_distance(inst, res.argmin_subset)
+    res = branch_bound_w(inst)
+    assert res.w_value == subset_distance(inst, res.argmin_subset)
 
 
 # --- the completion bound as the filter: the search against the unfiltered table --
@@ -259,9 +256,7 @@ def test_prefilter_matches_unfiltered_table_in_small_chunks(monkeypatch, kind, d
     # table reference is cut into chunks of 8.
     monkeypatch.setattr(oracle_mod, "_BLOCK", 3)
     inst = _instance(kind, d, size, seed)
-    ref = reference_table_w(inst, low_bits=3)
-    for res in (brute_force_w(inst), branch_bound_w(inst)):
-        _assert_matches_table(inst, res, ref)
+    _assert_matches_table(inst, branch_bound_w(inst), reference_table_w(inst, low_bits=3))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -271,11 +266,9 @@ def test_shuffled_vectors_keep_w(seed):
     inst = gen_random(4, 13, seed=seed) if seed % 2 else gen_planted(3, 6, seed)[0]
     perm = np.random.default_rng(seed).permutation(inst.num_vectors)
     shuffled = Instance(inst.vectors[perm])
-    eps = rounding_bound(inst.vectors)
-    for search in (brute_force_w, branch_bound_w):
-        a, b = search(inst), search(shuffled)
-        assert b.w_value == subset_distance(shuffled, b.argmin_subset)
-        assert abs(a.w_value - b.w_value) <= 3 * eps, (a.w_value, b.w_value)
+    a, b = branch_bound_w(inst), branch_bound_w(shuffled)
+    assert b.w_value == subset_distance(shuffled, b.argmin_subset)
+    assert abs(a.w_value - b.w_value) <= 3 * rounding_bound(inst.vectors), (a.w_value, b.w_value)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -148,6 +148,9 @@ def test_prune_slack_is_sound(vectors):
     # solver computes them, bound the computed extremes of every set G that a
     # descendant gates (S < G <= S + {i, ..., m-1}) up to the slack.  Column
     # S and row T of the reshaped table hold the subset S + (T shifted by i).
+    # The certificate: the floor minus v_i . v_i, as the solver computes an
+    # exclude child's, is at most the computed floor of S + {i + 1, ..., m-1}
+    # plus the slack.
     inst = Instance(vectors)
     m = inst.num_vectors
     slack = rounding_slack(inst)
@@ -158,6 +161,9 @@ def test_prune_slack_is_sound(vectors):
         top, floor = hi_i[0], lo_i[-1]
         assert np.all(top - slack <= hi_i[1:].min(axis=0))
         assert np.all(floor + slack >= lo_i[1:].max(axis=0))
+        v = inst.vectors[i]
+        out_floor = lo.reshape(2 ** (m - i - 1), 2 ** (i + 1))[-1, :2**i]
+        assert np.all(floor - v @ v <= out_floor + slack)
 
 
 def _with(inst, c, epsilon, **changes):
