@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from ks2 import cli
 from ks2.cli import main
-from ks2.instance import gen_planted, gen_random, instance_to_json
+from ks2.instance import gen_planted, gen_random, instance_to_json, load_instance
+from ks2.oracle import branch_bound_w
 from ks2.reduction import F_SAT3, F_UNSAT4, emit_dimacs, ks_form_to_instance, layout_to_json
 
 
@@ -19,6 +20,11 @@ def _reject_constant(name):
 def strict_loads(text):
     """json.loads that rejects the NaN / Infinity / -Infinity extensions."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+# "exhaustive": the default --node-limit, which covers a full search tree over
+# DEFAULT_M_LIMIT vectors; "branch-bound": an explicit, smaller --node-limit.
+NODE_LIMIT_FLAGS = {"exhaustive": [], "branch-bound": ["--node-limit", "1000000"]}
 
 
 def run(capsys, *argv):
@@ -95,6 +101,20 @@ class TestOracle:
             "--out", str(inst))
         code, res = run(capsys, "oracle", str(inst), "--c", "0.01")
         assert code == 0 and res["feasible_eq1"]
+
+    def test_branch_bound_mode(self, tmp_path, capsys):
+        # The CLI's one search reports the counters and w of branch_bound_w.
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "random", "--d", "3", "--m", "9", "--seed", "3",
+            "--out", str(inst))
+        code, res = run(capsys, "oracle", str(inst), "--node-limit", str(2**10 - 1))
+        assert code == 0
+        assert res["examined"] == 2**9
+        assert 0 < res["eigensolved"] <= res["nodes"] <= 2**10 - 1
+        ref = branch_bound_w(load_instance(inst))
+        assert res["w"] == ref.w_value and res["nodes"] == ref.nodes
+        code2, res2 = run(capsys, "oracle", str(inst))
+        assert abs(res["w"] - res2["w"]) <= 1e-12
 
     def test_branch_bound_node_limit(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -243,11 +263,12 @@ class TestMalformedInput:
         assert code == 2 and res is None
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_gram_is_not_isotropic(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["exhaustive", "branch-bound"])
+    def test_overflowing_gram_is_not_isotropic(self, tmp_path, capsys, mode):
         # The Gram of a 1e200 entry overflows, so its isotropy deviation is NaN.
         inst = tmp_path / "inst.json"
         inst.write_text('{"d": 2, "vectors": [[1.0, 0.0], [0.0, 1.0], [1e200, 0.0]]}')
-        code = main(["oracle", str(inst), "--iso-tol", "1e300"])
+        code = main(["oracle", str(inst), "--iso-tol", "1e300", *NODE_LIMIT_FLAGS[mode]])
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
         assert "nan" in captured.err and "Traceback" not in captured.err
@@ -289,10 +310,11 @@ class TestMalformedInput:
         assert code == 2 and not captured.out, (code, captured.out)
         assert "Traceback" not in captured.err
 
-    def test_oracle_threshold_zero_is_valid(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["exhaustive", "branch-bound"])
+    def test_oracle_threshold_zero_is_valid(self, tmp_path, capsys, mode):
         inst = tmp_path / "inst.json"
         run(capsys, "gen", "random", "--d", "3", "--m", "8", "--seed", "1", "--out", str(inst))
-        code, res = run(capsys, "oracle", str(inst), "--c", "0")
+        code, res = run(capsys, "oracle", str(inst), "--c", "0", *NODE_LIMIT_FLAGS[mode])
         assert code == 1 and res["c"] == 0.0 and res["feasible_eq1"] is False
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
