@@ -16,7 +16,7 @@ from pathlib import Path
 # Import ks2 from the checkout's src/ directory, not an installed copy.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ks2.oracle import branch_bound_w
+from ks2.oracle import _flip_generators, branch_bound_w
 from ks2.prng import Stream, derive_key, TAG_SUBSET
 from ks2.reduction import (
     F_SAT3,
@@ -27,6 +27,13 @@ from ks2.reduction import (
     nae_brute_solve,
 )
 from ks2.instance import subset_distance
+
+
+def search_counts(inst, res, t0):
+    """The search's counters, and the coordinates whose sign flips it cut by."""
+    flips = [k for k, _ in _flip_generators(inst.vectors)]
+    return (f"flips of coordinates {flips}, {res.eigensolved} leaves eigensolved,"
+            f" {res.nodes} nodes of which {res.cut} cut, {time.time() - t0:.1f}s")
 
 
 def main():
@@ -47,8 +54,7 @@ def main():
           f" distance from I/2 = {subset_distance(inst, s):.2e}")
     t0 = time.time()
     res = branch_bound_w(inst, node_limit=args.node_limit)
-    print(f"branch-and-bound optimum: {res.w_value:.3e}"
-          f" ({res.eigensolved} leaves eigensolved, {res.nodes} nodes, {time.time() - t0:.1f}s)")
+    print(f"branch-and-bound optimum: {res.w_value:.3e} ({search_counts(inst, res, t0)})")
 
     print("\n== unsatisfiable fixture ==")
     inst, layout = ks_form_to_instance(F_UNSAT4)
@@ -57,8 +63,7 @@ def main():
     assert nae_brute_solve(F_UNSAT4) is None
     t0 = time.time()
     res = branch_bound_w(inst, node_limit=args.node_limit)
-    print(f"branch-and-bound optimum: {res.w_value:.9f}"
-          f" ({res.eigensolved} leaves eigensolved, {res.nodes} nodes, {time.time() - t0:.1f}s)")
+    print(f"branch-and-bound optimum: {res.w_value:.9f} ({search_counts(inst, res, t0)})")
     print(f"hardness gap 1/(8*sqrt(2)) = {gap:.9f}:"
           f" {'certified' if res.w_value >= gap - 1e-9 else 'VIOLATED'}")
 

@@ -8,9 +8,10 @@ lie within 3 * rounding_bound of its w.
 reference_brute_force_w evaluates every subset, in binary order, through
 the scalar eigenvalue kernel on a from-scratch sum; it audits the batched
 subset-sum tables and is only sensible for small m.
-reference_branch_bound_w is the branch-and-bound search as it was before
-nodes were expanded in blocks: one node per pop, two eigensolves per
-internal node.  The tests compare the blocked search's minimum against it
+reference_branch_bound_w is the branch-and-bound search one node per pop,
+with two eigensolves per internal node, and the same lex-leader cuts for the
+flips that ks2.oracle._flip_generators finds, tested node by node on the
+chosen indices.  The tests compare the blocked search's minimum against it
 bit for bit.  Both return the accumulated minimum, not the from-scratch w
 that ks2.oracle reports.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from ks2.errors import TooLarge
 from ks2.instance import Instance, subset_distance
 from ks2.linalg import distance_half, eig_extremes_stack, spectral_distance_half
-from ks2.oracle import OracleResult
+from ks2.oracle import OracleResult, _flip_generators
 
 LOW_BITS = 14  # vectors in the low table: 2^14 matrices per chunk
 
@@ -43,7 +44,7 @@ def subset_sums(outers: np.ndarray) -> np.ndarray:
 
 def _evaluated_all(w: float, subset: tuple[int, ...], m: int) -> OracleResult:
     """A result that evaluated all 2^m leaves, as if by popping every node of the full tree."""
-    return OracleResult(w, subset, 1 << m, 1 << m, (2 << m) - 1)
+    return OracleResult(w, subset, 1 << m, 1 << m, (2 << m) - 1, 0)
 
 
 def rounding_bound(vectors: np.ndarray) -> float:
@@ -80,11 +81,11 @@ def reference_brute_force_w(inst: Instance) -> OracleResult:
 
 
 def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -> OracleResult:
-    """W by depth-first search with completion-bound pruning.
+    """W by depth-first search with completion-bound pruning and flip cuts.
 
-    Identical w_value to brute_force_w; eigensolved counts the evaluated
-    leaves and nodes the popped nodes.  node_limit raises TooLarge when nodes
-    would exceed it.
+    eigensolved counts the evaluated leaves, nodes the popped nodes and cut
+    the popped nodes the flip cuts drop.  node_limit raises TooLarge when
+    nodes would exceed it.
     """
     vectors = inst.vectors
     m, d = vectors.shape
@@ -92,11 +93,25 @@ def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -
     suffix = [np.zeros((d, d)) for _ in range(m + 1)]
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + outers[i]
+    flips = [sigma.tolist() for _, sigma in _flip_generators(vectors)]
+
+    def lex_greater(i: int, chosen: tuple[int, ...]) -> bool:
+        # Compare x with x o sigma position by position while both entries
+        # are decided, i.e. j < i and sigma(j) < i.
+        x = [j in chosen for j in range(i)]
+        for sigma in flips:
+            for j in range(i):
+                if sigma[j] >= i:
+                    break
+                if x[j] != x[sigma[j]]:
+                    if x[j]:
+                        return True
+                    break
+        return False
 
     best_w = np.inf
     best_subset: tuple[int, ...] = ()
-    leaves = 0
-    nodes = 0
+    leaves = nodes = cut = 0
 
     def deviation(a: np.ndarray) -> float:
         w = np.linalg.eigvalsh(a)
@@ -108,6 +123,9 @@ def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             raise TooLarge(f"branch-and-bound exceeded node limit {node_limit}")
+        if lex_greater(i, chosen):
+            cut += 1
+            continue
         if i == m:
             leaves += 1
             w = deviation(partial)
@@ -122,4 +140,4 @@ def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -
         # Exclude branch explored first (pushed last).
         stack.append((i + 1, partial + outers[i], chosen + (i,)))
         stack.append((i + 1, partial, chosen))
-    return OracleResult(best_w, best_subset, 1 << m, leaves, nodes)
+    return OracleResult(best_w, best_subset, 1 << m, leaves, nodes, cut)

@@ -94,6 +94,7 @@ class TestOracle:
         assert res["w"] <= 1e-12
         assert res["examined"] == 2**8
         assert 0 < res["eigensolved"] <= res["nodes"] <= 2**9 - 1
+        assert res["cut"] == 0  # a planted instance has no flip symmetry
 
     def test_oracle_feasibility_exit_codes(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -115,6 +116,17 @@ class TestOracle:
         assert res["w"] == ref.w_value and res["nodes"] == ref.nodes
         code2, res2 = run(capsys, "oracle", str(inst))
         assert abs(res["w"] - res2["w"]) <= 1e-12
+
+    def test_oracle_reports_flip_cuts(self, tmp_path, capsys):
+        # Every coordinate of the NAE gadget flips; the JSON reports the cut
+        # nodes, and no "leaves" key, which the benchmark's trace sums.
+        inst = tmp_path / "inst.json"
+        inst.write_text(instance_to_json(ks_form_to_instance(F_SAT3)[0]))
+        code, res = run(capsys, "oracle", str(inst))
+        assert code == 0 and "leaves" not in res
+        ref = branch_bound_w(load_instance(inst))
+        assert res["w"] == ref.w_value <= 1e-12
+        assert 0 < res["cut"] == ref.cut < res["nodes"] == ref.nodes
 
     def test_branch_bound_node_limit(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ks2 import Instance, gen_planted, gen_random, subset_distance, validate
 from ks2 import oracle as oracle_mod
 from ks2.errors import TooLarge
 from ks2.linalg import distance_half, eig_extremes_stack
-from ks2.oracle import _bb_search, branch_bound_w, brute_force_w, with_threshold
+from ks2.oracle import (
+    _bb_search,
+    _flip_generators,
+    branch_bound_w,
+    brute_force_w,
+    with_threshold,
+)
 
 from conftest import gram_families, random_rotation
 from reference_oracle import (
@@ -197,8 +204,9 @@ def test_blocked_search_matches_node_by_node_reference(request, kind, d, size, s
         inst, _ = gen_planted(d, size, seed=seed)
     else:
         inst, _ = request.getfixturevalue(kind)
-    w, _, leaves, nodes = _bb_search(inst, None)
+    w, _, leaves, nodes, cut = _bb_search(inst, None)
     assert w == reference_branch_bound_w(inst).w_value
+    assert cut <= nodes
     assert leaves <= 2 ** inst.num_vectors
     # A full tree over m vectors has 2^(m+1) - 1 nodes: ks oracle's default --node-limit.
     assert nodes <= 2 ** (inst.num_vectors + 1) - 1
@@ -292,3 +300,97 @@ def test_completion_bound_is_sound(vectors):
         bound = np.maximum(distance_half(lo, eig_extremes_stack(p)[1]), 0.0)
         below = leaf_dev.reshape(2 ** (m - i), 2**i).min(axis=0)
         assert np.all(bound - eps <= below), float(np.max(bound - below))
+
+
+# --- coordinate-flip symmetry cuts -----------------------------------------------
+
+def _assert_is_flip(vectors, k, sigma):
+    # sigma is an involution other than the identity, D_k v_j = +-v_sigma(j)
+    # exactly, and so outer(v_sigma(j)) = D_k outer(v_j) D_k exactly.
+    m, d = vectors.shape
+    assert np.array_equal(sigma[sigma], np.arange(m)) and (sigma != np.arange(m)).any()
+    flipped = vectors.copy()
+    flipped[:, k] = -flipped[:, k]
+    assert all(np.array_equal(f, vectors[t]) or np.array_equal(f, -vectors[t])
+               for f, t in zip(flipped, sigma))
+    outers = vectors[:, :, None] * vectors[:, None, :]
+    signs = np.where(np.arange(d) == k, -1.0, 1.0)
+    assert np.array_equal(outers[sigma], signs[:, None] * outers * signs)
+
+
+class TestFlipGenerators:
+    @pytest.mark.parametrize("fixture, dim", [("fsat3_built", 6), ("funsat4_built", 7)])
+    def test_every_gadget_coordinate_flips(self, request, fixture, dim):
+        inst, _ = request.getfixturevalue(fixture)
+        flips = _flip_generators(inst.vectors)
+        assert inst.dim == dim and [k for k, _ in flips] == list(range(dim))
+        for k, sigma in flips:
+            _assert_is_flip(inst.vectors, k, sigma)
+
+    def test_random_and_planted_have_none(self):
+        for s in range(20):
+            assert _flip_generators(gen_random(2 + s % 4, 8 + s % 7, seed=s).vectors) == []
+            assert _flip_generators(gen_planted(2 + s % 4, 4 + s % 4, s)[0].vectors) == []
+
+    def test_duplicate_zero_and_permuted_rows(self, axis_pairs_d3):
+        a, b = 0.6, 0.8
+        rows = np.array([[a, b], [a, -b], [0.0, 0.0], [-a, -b], [a, -b], [0.0, -0.0]])
+        flips = _flip_generators(rows)
+        assert [k for k, _ in flips] == [0, 1]
+        for k, sigma in flips:
+            # Equal rows (up to sign) pair in index order; zero rows stay put.
+            assert sigma.tolist() == [1, 0, 2, 4, 3, 5]
+        perm = np.array([3, 5, 0, 2, 1, 4])
+        permuted = _flip_generators(rows[perm])
+        assert [k for k, _ in permuted] == [0, 1]
+        for k, sigma in permuted:
+            _assert_is_flip(rows[perm], k, sigma)
+        # Unmatched duplicate counts: no flip maps the rows onto themselves.
+        assert _flip_generators(np.array([[a, b], [a, b], [a, -b]])) == []
+        # Each axis vector is its own flip up to sign: sigma would be the identity.
+        assert _flip_generators(axis_pairs_d3.vectors) == []
+
+
+@st.composite
+def flip_closed_families(draw):
+    """gen_random(d, r) rows closed under the flips of a drawn coordinate set
+    K, scaled by 2^(-|K|/2) to stay isotropic; m = r 2^|K| <= 16."""
+    d = draw(st.integers(2, 5))
+    most = min(d, (16 // d).bit_length() - 1)  # the largest |K| with d <= 16 / 2^|K|
+    flips = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=most, unique=True))
+    r = draw(st.integers(d, 16 >> len(flips)))
+    rows = gen_random(d, r, seed=draw(st.integers(0, 2**16))).vectors
+    for k in flips:
+        flipped = rows.copy()
+        flipped[:, k] = -flipped[:, k]
+        rows = np.concatenate([rows, flipped])
+    return Instance(rows * 2.0 ** (-len(flips) / 2)), flips
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(flip_closed_families())
+def test_flip_cuts_match_unfiltered_table(case):
+    # The cuts keep every orbit's lex-leader, so w stays within the rounding
+    # bound of the pass that evaluates every subset.
+    inst, flips = case
+    found = _flip_generators(inst.vectors)
+    assert set(flips) <= {k for k, _ in found}
+    for k, sigma in found:
+        _assert_is_flip(inst.vectors, k, sigma)
+    _assert_matches_table(inst, branch_bound_w(inst), reference_table_w(inst))
+
+
+@pytest.mark.parametrize("fixture", ["fsat3_built", "funsat4_built"])
+def test_flip_cuts_keep_uncut_w(request, monkeypatch, fixture):
+    inst, _ = request.getfixturevalue(fixture)
+    res = branch_bound_w(inst)
+    assert 0 < res.cut < res.nodes and res.to_dict()["cut"] == res.cut
+    # Cut nodes are popped nodes: node_limit counts them.
+    assert branch_bound_w(inst, node_limit=res.nodes) == res
+    with pytest.raises(TooLarge):
+        branch_bound_w(inst, node_limit=res.nodes - 1)
+    monkeypatch.setattr(oracle_mod, "_flip_generators", lambda vectors: [])
+    uncut = branch_bound_w(inst)
+    assert uncut.cut == 0 and uncut.nodes > res.nodes
+    assert abs(res.w_value - uncut.w_value) <= 3 * rounding_bound(inst.vectors), (
+        res.w_value, uncut.w_value)
