@@ -149,7 +149,7 @@ def subset_distance(inst: Instance, subset: Sequence[int]) -> float:
 
 
 def _gaussian_rows(stream: prng.Stream, m: int, d: int) -> np.ndarray:
-    return np.array([stream.normals(d) for _ in range(m)], dtype=np.float64)
+    return stream.normals(m * d).reshape(m, d)
 
 
 def _whiten(rows: np.ndarray, target_scale: float) -> np.ndarray:

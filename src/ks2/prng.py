@@ -4,9 +4,13 @@ The generator is counter-based on top of the splitmix64 finalizer: a stream
 is identified by a 64-bit key, and the k-th output word is
 ``mix64(key + k * GAMMA)``.  Keys are derived by folding an integer path
 (seed, tag, indices, ...) through the same mixer, so independent streams can
-be split off deterministically at any point.  Gaussians come from Box-Muller
-on 53-bit uniforms.  Everything is plain integer arithmetic, so a fixed
-(seed, path) pair yields bit-identical output on any platform.
+be split off deterministically at any point.  Words, keys and 53-bit
+uniforms are plain integer arithmetic, bit-identical on any platform.
+Gaussians come from Box-Muller on those uniforms: ``Stream.normals`` does the
+integer part, sqrt and products in numpy (exact or correctly rounded) but
+log, cos and sin through libm's ``math.*``, element by element, because
+numpy's ufuncs dispatch to CPU-dependent SIMD loops that may differ from
+libm in the last ulp.  Gaussians are thus reproducible wherever libm agrees.
 """
 from __future__ import annotations
 
@@ -67,6 +71,7 @@ class Stream:
     def __init__(self, key: int):
         self.key = key & _MASK
         self.counter = 0
+        self._spare: float | None = None
 
     def next_u64(self) -> int:
         self.counter += 1
@@ -80,18 +85,25 @@ class Stream:
         """Uniform double in (0, 1], safe as a log argument."""
         return ((self.next_u64() >> 11) + 1) * 2.0**-53
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller (pairs cached)."""
-        spare = getattr(self, "_spare", None)
-        if spare is not None:
-            self._spare = None
-            return spare
-        u1 = self.uniform_open()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare = r * math.sin(theta)
-        return r * math.cos(theta)
+    def normals(self, n: int) -> np.ndarray:
+        """n standard normals via Box-Muller on (uniform_open, uniform) pairs.
 
-    def normals(self, n: int) -> list[float]:
-        return [self.normal() for _ in range(n)]
+        Pair j uses words counter+2j+1 and counter+2j+2 and yields r cos(theta)
+        then r sin(theta); an odd count carries the last sine to the next call.
+        """
+        head = [] if self._spare is None else [self._spare]
+        pairs = (n - len(head) + 1) // 2
+        k = np.arange(self.counter + 1, self.counter + 2 * pairs + 1, dtype=np.uint64)
+        self.counter += 2 * pairs
+        w = mix64_array(np.uint64(self.key) + k * np.uint64(_GAMMA)) >> np.uint64(11)
+        r = np.sqrt(-2.0 * _libm(math.log, (w[0::2] + np.uint64(1)) * 2.0**-53))
+        theta = (2.0 * math.pi) * (w[1::2] * 2.0**-53)
+        pair = np.column_stack([r * _libm(math.cos, theta), r * _libm(math.sin, theta)])
+        z = np.concatenate([head, pair.ravel()])
+        self._spare = float(z[n]) if len(z) > n else None
+        return z[:n]
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """f (a math.* function) applied element by element, never a numpy ufunc."""
+    return np.fromiter(map(f, x.tolist()), np.float64, len(x))

@@ -138,20 +138,20 @@ def random_subset(m: int, seed: int, tag: int = 4) -> list[int]:
 
 def random_symmetric(d: int, seed: int) -> np.ndarray:
     s = Stream(derive_key(seed, 50, d))
-    a = np.array([s.normals(d) for _ in range(d)])
+    a = s.normals(d * d).reshape(d, d)
     return 0.5 * (a + a.T)
 
 
 def random_spd(d: int, seed: int, ridge: float = 0.1) -> np.ndarray:
     s = Stream(derive_key(seed, 51, d))
-    a = np.array([s.normals(d) for _ in range(d)])
+    a = s.normals(d * d).reshape(d, d)
     return a @ a.T + ridge * np.eye(d)
 
 
 def random_rotation(d: int, seed: int) -> np.ndarray:
     """Seeded orthogonal matrix via QR with a sign-fixed R diagonal."""
     s = Stream(derive_key(seed, 52, d))
-    a = np.array([s.normals(d) for _ in range(d)])
+    a = s.normals(d * d).reshape(d, d)
     q, r = np.linalg.qr(a)
     return q * np.sign(np.diag(r))
 

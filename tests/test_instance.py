@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ks2 import (
     Instance,
+    instance,
     check_subset,
     gen_planted,
     gen_random,
@@ -20,6 +21,7 @@ from ks2.linalg import spectral_distance_half
 from ks2.reduction import assignment_to_subset
 
 from conftest import random_subset
+from reference_prng import ReferenceStream
 
 
 class TestValidate:
@@ -157,6 +159,58 @@ class TestGenerators:
         a = gen_random(4, 9, seed=1)
         b = gen_random(4, 9, seed=2)
         assert not np.array_equal(a.vectors, b.vectors)
+
+
+def _reference_rows(stream, m, d):
+    """The generators' Gaussian rows drawn one scalar normal at a time."""
+    assert stream.counter == 0
+    ref = ReferenceStream(stream.key)
+    return np.array([ref.normals(d) for _ in range(m)], dtype=np.float64)
+
+
+def _outcome(gen, *args):
+    try:
+        out = gen(*args)
+    except (DegenerateSample, EmptyInstance) as exc:
+        return type(exc), str(exc)
+    inst, planted = out if isinstance(out, tuple) else (out, None)
+    return inst.vectors.shape, inst.vectors.tobytes(), inst.meta, planted
+
+
+_RANDOM_CASES = [(d, m, seed) for d in (1, 2, 3, 5, 10) for m in (d, d + 1, 2 * d + 3, 17)
+                 for seed in (0, 1, 2)] + [(10, 4000, 3)]
+_PLANTED_CASES = [(d, k, seed) for d in (1, 2, 3, 5, 10) for k in (d, d + 2)
+                  for seed in (0, 1)] + [(5, 8, seed) for seed in range(4)]
+_DEGENERATE_CASES = [(gen_random, 3, 2, 1), (gen_random, 5, 4, 0), (gen_planted, 4, 2, 1),
+                     (gen_planted, 10, 9, 0), (gen_random, 0, 3, 1), (gen_random, 3, 0, 1),
+                     (gen_planted, 0, 2, 1), (gen_planted, 2, 0, 1)]
+
+
+class TestGeneratorsMatchScalarReference:
+    """Vectorised normals leave every generated instance bit for bit as the
+    scalar Box-Muller makes it; with odd d the carried sine crosses rows."""
+
+    def _check(self, monkeypatch, gen, *args):
+        got = _outcome(gen, *args)
+        with monkeypatch.context() as mp:
+            mp.setattr(instance, "_gaussian_rows", _reference_rows)
+            assert got == _outcome(gen, *args)
+        return got
+
+    @pytest.mark.parametrize("d,m,seed", _RANDOM_CASES)
+    def test_gen_random(self, monkeypatch, d, m, seed):
+        got = self._check(monkeypatch, gen_random, d, m, seed)
+        assert got[0] == (m, d) or got[0] is DegenerateSample
+
+    @pytest.mark.parametrize("d,k,seed", _PLANTED_CASES)
+    def test_gen_planted(self, monkeypatch, d, k, seed):
+        got = self._check(monkeypatch, gen_planted, d, k, seed)
+        assert got[0] == (2 * k, d) or got[0] is DegenerateSample
+
+    @pytest.mark.parametrize("gen,d,m,seed", _DEGENERATE_CASES)
+    def test_error_paths(self, monkeypatch, gen, d, m, seed):
+        got = self._check(monkeypatch, gen, d, m, seed)
+        assert got[0] is (EmptyInstance if min(d, m) < 1 else DegenerateSample)
 
 
 class TestFileFormats:

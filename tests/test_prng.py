@@ -7,6 +7,8 @@ import numpy as np
 
 from ks2.prng import Stream, derive_key, first_uniforms, float_bits, mix64, mix64_array
 
+from reference_prng import ReferenceStream
+
 
 def test_mix64_known_values_stable():
     # Frozen outputs guard against accidental changes to the mixer, which
@@ -62,11 +64,29 @@ def test_normals_have_sane_moments():
 
 
 def test_normal_pair_caching_keeps_determinism():
-    a = Stream(derive_key(9, 9))
+    a = ReferenceStream(derive_key(9, 9))
     b = Stream(derive_key(9, 9))
     seq_a = [a.normal() for _ in range(7)]
-    seq_b = b.normals(7)
+    seq_b = b.normals(7).tolist()
     assert seq_a == seq_b
+
+
+_COUNTS = st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 64),
+                    st.integers(0, 40).map(lambda j: 2 * j + 1), st.integers(4001, 4200))
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(_COUNTS, min_size=1, max_size=6))
+@settings(max_examples=120, deadline=None)
+def test_normals_match_scalar_reference(key, counts):
+    # Value for value, and the counter and carried sine after every call, so
+    # an odd count continues into the next call exactly as the scalar path.
+    got, ref = Stream(key), ReferenceStream(key)
+    for n in counts:
+        xs = got.normals(n)
+        assert xs.dtype == np.float64 and xs.shape == (n,)
+        assert xs.tolist() == ref.normals(n)
+        assert got.counter == ref.counter
+        assert got._spare == ref._spare
 
 
 def test_float_bits_distinguishes_values():
