@@ -80,8 +80,6 @@ def _cmd_solve(args) -> int:
     params = dataclasses.replace(
         solver.derive_params(inst, args.c, args.epsilon, level_constant=args.C),
         max_level_size=args.max_level_size)
-    if args.n_override is not None:
-        params = dataclasses.replace(params, n=args.n_override)
     outcome = solver.solve(inst, args.c, args.epsilon, args.seed, params_override=params)
     if outcome.found and args.subset_out:
         save_subset(outcome.subset, args.subset_out)
@@ -124,10 +122,6 @@ def _cmd_reduce(args) -> int:
     if args.layout:
         reduction.save_layout(layout, args.layout)
         result["layout_written"] = args.layout
-    if args.mode == "sat2ks" and args.ksform:
-        with open(args.ksform, "w") as fh:
-            fh.write(reduction.emit_dimacs(f))
-        result["ksform_written"] = args.ksform
     _emit(result)
     return EXIT_OK
 
@@ -208,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--C", type=float, default=solver.DEFAULT_LEVEL_CONSTANT,
                    help="constant in the sparsifier size bound n")
-    s.add_argument("--n-override", type=int)
     s.add_argument("--max-level-size", type=int,
                    help="fail when a level holds more entries after the size filter and the prune")
     s.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
@@ -229,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True)
     r.add_argument("--layout")
     r.add_argument("--varmap")
-    r.add_argument("--ksform", help="also write the intermediate formula (sat2ks)")
     r.set_defaults(func=_cmd_reduce)
 
     v = sub.add_parser("verify", help="re-check a subset against the band conditions")
@@ -254,6 +246,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "check" and args.what == "violation":
+        for flag, value in (("--layout", args.layout), ("--subset", args.subset)):
+            if value is None:
+                parser.error(f"check violation requires {flag}")
     try:
         return args.func(args)
     except InternalInvariantError as exc:

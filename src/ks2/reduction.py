@@ -334,12 +334,7 @@ def _expand_duplicate_variables(f: CnfFormula):
         next_fresh += 1
         clauses.append((doubled, other, z))
         clauses.append((doubled, other, -z))
-    return clauses, next_fresh - 1
-
-
-# Clause pattern that is NAE-unsatisfiable while meeting every occurrence
-# condition; used when the input contains an inherently false clause.
-_UNSAT_PATTERN = ((1, 2, 3), (-1, -2, 3), (1, -2, -3), (-1, 2, -3))
+    return clauses
 
 
 def nae3sat_to_ks_form(f: CnfFormula) -> tuple[CnfFormula, dict[int, VarSplit]]:
@@ -353,10 +348,9 @@ def nae3sat_to_ks_form(f: CnfFormula) -> tuple[CnfFormula, dict[int, VarSplit]]:
     all copies to take the same value.  The output is re-validated and the
     mapping from original variables to their copies and helpers is returned.
     """
-    expanded = _expand_duplicate_variables(f)
-    if expanded is None:
-        return CnfFormula(3, _UNSAT_PATTERN), {}
-    clauses, _ = expanded
+    clauses = _expand_duplicate_variables(f)
+    if clauses is None:
+        return F_UNSAT4, {}  # an inherently false clause: unsatisfiable
 
     # Removal fixpoint: a variable occurring exactly once always lets its
     # clause be satisfied, so the clause goes (and may orphan others).

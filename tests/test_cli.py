@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import operator
@@ -8,9 +9,20 @@ from hypothesis import strategies as st
 
 from ks2 import cli
 from ks2.cli import main
-from ks2.instance import gen_planted, gen_random, instance_to_json, load_instance
+from ks2.errors import EmptyInstance, InternalInvariantError, ParseError
+from ks2.instance import gen_planted, gen_random, instance_from_json, instance_to_json, load_instance
 from ks2.oracle import branch_bound_w
-from ks2.reduction import F_SAT3, F_UNSAT4, emit_dimacs, ks_form_to_instance, layout_to_json
+from ks2.reduction import (
+    F_SAT3,
+    F_UNSAT4,
+    CnfFormula,
+    emit_dimacs,
+    ks_form_to_instance,
+    layout_to_json,
+    nae_eval,
+    parse_dimacs,
+)
+from ks2.solver import SolveStats
 
 
 def _reject_constant(name):
@@ -76,6 +88,21 @@ class TestSolveVerify:
         assert res["status"] == "not-found"
         # Completion-bound pruning keeps 72 of the 512 subsets of the last level.
         assert res["stats"]["pruned"] > 0 and res["stats"]["peak_level_size"] == 72
+
+    def test_iso_tol(self, tmp_path, capsys):
+        # sum v v^T = 1/2: isotropy deviation 1/2, over the default tolerance.
+        inst, subset = tmp_path / "inst.json", tmp_path / "s.json"
+        inst.write_text('{"d": 1, "vectors": [[0.5], [0.5]]}')
+        subset.write_text("[0]\n")
+        code, res = run(capsys, "check", "instance", str(inst))
+        assert code == 1 and not res["valid"] and res["deviation"] == 0.5
+        code, res = run(capsys, "check", "instance", str(inst), "--iso-tol", "0.5")
+        assert code == 0 and res["valid"] and res["iso_tol"] == 0.5
+        verify = ["verify", str(inst), "--subset", str(subset), "--c", "0.1", "--epsilon", "0.3"]
+        code, res = run(capsys, *verify)
+        assert code == 2 and res is None
+        code, res = run(capsys, *verify, "--iso-tol", "0.5")
+        assert code == 1 and res["lambda_min"] == 0.25 and not res["satisfies_eq2"]
 
     def test_bad_file_is_usage_error(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "missing.json"),
@@ -165,6 +192,16 @@ class TestReduce:
         code, chk = run(capsys, "check", "ksform", str(out))
         assert code == 0 and chk["valid"]
 
+    def test_inherently_false_clause_is_unsat(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 2\n1 2 3 0\n1 1 1 0\n")
+        out = tmp_path / "g.cnf"
+        code, res = run(capsys, "reduce", "nae2ksform", str(cnf), "--out", str(out))
+        assert code == 0
+        assert (res["ksform_vars"], res["ksform_clauses"]) == (3, 4)
+        code, res = run(capsys, "check", "nae", str(out))
+        assert code == 1 and res == {"status": "unsat"}
+
     def test_malformed_cnf_usage_error(self, tmp_path, capsys):
         cnf = tmp_path / "bad.cnf"
         cnf.write_text("p cnf 2 1\n1 2 0\n")
@@ -184,6 +221,32 @@ class TestCheck:
         unsat.write_text(emit_dimacs(F_UNSAT4))
         code, res = run(capsys, "check", "nae", str(unsat))
         assert code == 1 and res["status"] == "unsat"
+
+    def test_nae_var_limit(self, tmp_path, capsys):
+        f = CnfFormula(25, tuple((i, i + 1, i + 2) for i in range(1, 24)))
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(emit_dimacs(f))
+        code = main(["check", "nae", str(cnf)])
+        captured = capsys.readouterr()
+        assert code == 2 and strict_loads(captured.out)["error"] == "too-large"
+        code, res = run(capsys, "check", "nae", str(cnf), "--var-limit", "25")
+        assert code == 0 and res["status"] == "sat"
+        assert nae_eval(f, res["assignment"])
+
+    @pytest.mark.parametrize("missing", ["--layout", "--subset"])
+    def test_violation_needs_layout_and_subset(self, tmp_path, capsys, missing):
+        inst, layout, subset = (tmp_path / name for name in ("inst.json", "layout.json", "s.json"))
+        inst.write_text(INSTANCE_TEXT)
+        layout.write_text(LAYOUT_TEXT)
+        subset.write_text(SUBSET_TEXT)
+        flags = {"--layout": str(layout), "--subset": str(subset)}
+        del flags[missing]
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "violation", str(inst), *[x for kv in flags.items() for x in kv]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out
+        assert captured.err.endswith(f"check violation requires {missing}\n")
+        assert "Traceback" not in captured.err
 
     def test_violation_witness(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
@@ -241,6 +304,25 @@ class TestMalformedInput:
         path.write_text(text)
         code, res = run(capsys, "check", "instance", str(path))
         assert code == 2 and res is None
+
+    @pytest.mark.parametrize("what, text, error, match", [
+        ("ksform", "", ParseError, "missing 'p cnf' header"),
+        ("ksform", "p cnf x 1\n1 2 3 0\n", ParseError, "bad header"),
+        ("ksform", "p cnf -1 0\n", ParseError, "negative variable count"),
+        ("ksform", "p cnf 2 1\n1 2 3 0\n", ParseError, "literal 3 out of range"),
+        ("instance", '{"d": 1, "vectors": [[NaN]]}', EmptyInstance, "non-finite"),
+    ], ids=["empty", "non-integer-header", "negative-variable-count",
+            "literal-out-of-range", "nan-entry"])
+    def test_input_defect(self, tmp_path, capsys, what, text, error, match):
+        parse = {"ksform": parse_dimacs, "instance": instance_from_json}[what]
+        with pytest.raises(error, match=match):
+            parse(text)
+        path = tmp_path / "input"
+        path.write_text(text)
+        code = main(["check", what, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert match in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_instance_prints_strict_json(self, tmp_path, capsys):
@@ -354,12 +436,49 @@ class TestMalformedInput:
         assert code == 3
         assert json.loads(captured.out) == {"error": "internal", "message": "RuntimeError: boom"}
 
+    def test_invariant_failure_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def fail(args):
+            raise InternalInvariantError("layout lost a clause")
+
+        monkeypatch.setattr(cli, "_cmd_check", fail)
+        code = main(["check", "instance", str(tmp_path / "inst.json")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert strict_loads(captured.out) == {"error": "internal",
+                                              "message": "layout lost a clause"}
+        assert "internal invariant failure" in captured.err
+
+    def test_level_cap_is_resource_exhausted(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "planted", "--d", "3", "--k", "4", "--seed", "1",
+            "--out", str(inst))
+        code = main(["solve", str(inst), "--c", "0.1", "--epsilon", "0.3", "--seed", "1",
+                     "--max-level-size", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and "Traceback" not in captured.err
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 1
+        res = strict_loads(lines[0])
+        assert res.keys() == {"error", "stats"} and res["error"] == "resource-exhausted"
+        assert res["stats"].keys() == {f.name for f in dataclasses.fields(SolveStats)}
+
     def test_solve_has_no_threads_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "inst.json", "--c", "0.1", "--epsilon", "0.3", "--seed", "1",
                   "--threads", "1"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "inst.json", "--c", "0.1", "--epsilon", "0.3", "--seed", "1"], "--n-override"),
+        (["reduce", "sat2ks", "f.cnf", "--out", "inst.json"], "--ksform"),
+    ], ids=["solve", "sat2ks"])
+    def test_removed_flag(self, capsys, argv, flag):
+        # --C is the one knob for n; `reduce nae2ksform --out` writes the rewritten formula.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "5"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 # --- exit-code contract under mutated input files ------------------------------

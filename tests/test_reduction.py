@@ -243,6 +243,17 @@ class TestStage1:
             sat_out = nae_brute_solve(out, var_limit=80) is not None
             assert sat_in == sat_out
 
+    @pytest.mark.parametrize("clauses", [
+        ((1, 2, 3), (1, 1, 1), (-1, -2, -3)),
+        ((1, 2, -2), (-2, -2, -2), (1, 2, 3)),
+    ], ids=["(1 1 1)", "(-2 -2 -2)"])
+    def test_inherently_false_clause(self, clauses):
+        # One literal three times is never "not all equal": the whole formula
+        # is unsatisfiable, and the rewrite returns the fixed unsat formula.
+        f = CnfFormula(3, clauses)
+        assert nae_brute_solve(f) is None
+        assert nae3sat_to_ks_form(f) == (F_UNSAT4, {})
+
     def test_repeated_variable_clause_handled(self):
         # Same variable twice in one clause still splits into distinct copies.
         f = CnfFormula(2, ((1, 1, 2), (-1, -2, 2)))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from ks2 import Instance, check_subset, gen_planted, gen_random, validate
-from ks2.errors import InfeasibleParameters, ResourceExhausted
+from ks2.errors import InfeasibleParameters, NotIsotropic, ResourceExhausted
 from ks2.linalg import eig_extremes_stack
 from ks2.solver import derive_params, rounding_slack, solve
 
@@ -56,6 +56,15 @@ class TestSolve:
         ca = 0.1 * math.sqrt(axis_pairs_d3.alpha)
         assert (1 - 0.1) * (0.5 - ca) <= out.report.lambda_min
         assert out.report.lambda_max <= (1 + 0.1) * (0.5 + ca)
+
+    def test_unvalidated_instance_is_gated(self, axis_pairs_d3):
+        # solve() runs the isotropy gate itself on an instance not yet validated.
+        raw = Instance(axis_pairs_d3.vectors)
+        assert not raw.validated
+        out = solve(raw, 0.1, 0.1, seed=7)
+        assert out.to_dict() == solve(axis_pairs_d3, 0.1, 0.1, seed=7).to_dict()
+        with pytest.raises(NotIsotropic):
+            solve(Instance(0.5 * axis_pairs_d3.vectors), 0.1, 0.1, seed=7)
 
     def test_stress_instance_never_found(self, stress_notfound):
         for seed in range(5):
