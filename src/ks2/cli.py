@@ -217,11 +217,16 @@ def _build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=_cmd_oracle)
 
     r = sub.add_parser("reduce", help="formula rewriting and vector construction")
-    r.add_argument("mode", choices=["nae2ksform", "ksform2inst", "sat2ks"])
-    r.add_argument("formula")
-    r.add_argument("--out", required=True)
-    r.add_argument("--layout")
-    r.add_argument("--varmap")
+    rsub = r.add_subparsers(dest="mode", required=True)
+    for mode, help_, flags in (
+            ("nae2ksform", "rewrite into restricted form", ("--varmap",)),
+            ("ksform2inst", "vectors of a restricted-form formula", ("--layout",)),
+            ("sat2ks", "rewrite, then build the vectors", ("--layout", "--varmap"))):
+        rm = rsub.add_parser(mode, help=help_)
+        rm.add_argument("formula")
+        rm.add_argument("--out", required=True)
+        for flag in flags:
+            rm.add_argument(flag)
     r.set_defaults(func=_cmd_reduce)
 
     v = sub.add_parser("verify", help="re-check a subset against the band conditions")
@@ -233,12 +238,19 @@ def _build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_verify)
 
     c = sub.add_parser("check", help="validity checks and violation witnesses")
-    c.add_argument("what", choices=["instance", "ksform", "nae", "violation"])
-    c.add_argument("target")
-    c.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
-    c.add_argument("--var-limit", type=int, default=reduction.DEFAULT_VAR_LIMIT)
-    c.add_argument("--layout")
-    c.add_argument("--subset")
+    csub = c.add_subparsers(dest="what", required=True)
+    ci = csub.add_parser("instance", help="isotropy of an instance file")
+    ci.add_argument("target")
+    ci.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
+    ck = csub.add_parser("ksform", help="restricted-form conditions of a formula")
+    ck.add_argument("target")
+    cn = csub.add_parser("nae", help="NAE-satisfiability of a formula by enumeration")
+    cn.add_argument("target")
+    cn.add_argument("--var-limit", type=int, default=reduction.DEFAULT_VAR_LIMIT)
+    cv = csub.add_parser("violation", help="a violation witness for a subset")
+    cv.add_argument("target")
+    cv.add_argument("--layout", required=True)
+    cv.add_argument("--subset", required=True)
     c.set_defaults(func=_cmd_check)
     return p
 
@@ -246,10 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check" and args.what == "violation":
-        for flag, value in (("--layout", args.layout), ("--subset", args.subset)):
-            if value is None:
-                parser.error(f"check violation requires {flag}")
     try:
         return args.func(args)
     except InternalInvariantError as exc:

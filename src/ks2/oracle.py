@@ -14,14 +14,41 @@ prunes high in the tree.  On 80 gen_random(5, 20) instances the search
 evaluated a median of about 400 of the 2^20 leaves (1,500 at most), and in
 input order it was slower on every one, three times at the median.
 
-The search is depth-first over blocks of up to _BLOCK nodes of one depth held
-as arrays: a block costs one stacked eigensolve for its bounds and one for the
-lambda_max of its include children, while exclude children keep their
-parent's P and lambda_max.  Partial sums are built by the same elementwise
-additions as a one-node-at-a-time search, and a stacked eigensolve equals the
-per-matrix one bit for bit, so every bound and every leaf deviation is the
-value that search computes; blocking changes only the visiting order, the
-number of leaves evaluated and, among ties, the argmin.
+The search is depth-first over blocks of up to _BLOCK nodes of one depth
+held as arrays.  Partial sums are built by the same elementwise additions as
+a one-node-at-a-time search, and a stacked eigensolve equals the per-matrix
+one bit for bit, so every value it computes is the value that search
+computes; blocking changes only the visiting order, the number of leaves
+evaluated and, among ties, the argmin.
+
+Bounds as intervals.  The prune test reads two computed values of a node at
+depth i, h = lambda_max(P) - 1/2 and l = 1/2 - lambda_min(P + R_i), and keeps
+the node when max(h, l, 0) < w, w the incumbent.  Each node carries an
+interval [a, b] for each value and computes the value only when the interval
+straddles w (a < w <= b); otherwise b < w or a >= w gives the test's answer.
+h goes first, so a node that it drops never computes l.  The root's
+intervals are [-inf, inf].  A kept node passes to its children, with
+s = |v_i|^2 and slack 3 eta (eta as under Rounding below):
+  * the exclude child (P, R_i+1) keeps h's [a, b] and takes l's as
+    [a - 3 eta, b + s + 3 eta];
+  * the include child (P + v_i v_i^T, R_i+1) takes h's as
+    [a - 3 eta, b + s + 3 eta] and l's as [a - 3 eta, b + 3 eta].
+A computed value lies in its interval, by induction over depth.  The exclude
+child's P is its parent's array, so its h is its parent's.  Otherwise let c,
+c' be the parent's and child's computed values and e, e' the same values for
+the exact A_S; |c - e| and |c' - e'| are at most eta.  Adding the PSD
+v_i v_i^T raises no eigenvalue and none by more than s (Weyl), so e' - e lies
+in [0, s] for the include child's h (A_S + v_i v_i^T) and for the exclude
+child's l (A_S + R_i+1 = A_S + R_i - v_i v_i^T), and the include child's l
+has e' = e, as A_S + v_i v_i^T + R_i+1 = A_S + R_i.  So c' lies in
+[c - 2 eta, c + s + 2 eta], or [c - 2 eta, c + 2 eta], with c in the
+parent's [a, b].  The third eta covers rounding in the ends: each stays
+below 2 N + 2 + 3 m eta in magnitude, so the computed s and the two
+additions that make an end err by far less than eta.  Every keep or prune is
+therefore the one made by computing every value (tests/reference_oracle.py
+keeps that search), and so are the nodes, the cuts, the leaves, the minimum
+and its argmin.  Once 2T + 1 overflows, eta is inf: every interval but an
+exclude child's h is [-inf, inf], and every value a test reads is computed.
 
 Flip symmetry.  Let D_k be the identity with its k-th diagonal entry -1, and
 suppose D_k v_j = +-v_sigma(j) for every j, exactly, with sigma a permutation
@@ -39,12 +66,14 @@ longest prefix with j < i and sigma_k(j) < i.  When x >_lex x o sigma_k there,
 no leaf below it is an orbit's lex-least row, and the node is cut: dropped
 when popped, before any eigensolve, and counted in nodes and in cut.  A row
 that passed at L_k(i - 1) passes again until L_k grows, so each generator is
-tested only at those depths.  The cuts read membership only, so they are
-exact, and every orbit keeps its lex-least row.  One cut per generator is the
-whole rule: cuts by pairwise products of generators, or by the whole group,
-dropped more nodes but took longer on F_UNSAT4.  On instances with no flip
-(none of the gen_random or gen_planted instances tried has one) the search is
-unchanged.
+tested only at those depths, and all generators tested at a depth share one
+gather of x and x o sigma_k: a row is cut when x & ~(x o sigma_k) holds at
+the first position where the two differ.  The cuts read membership only, so
+they are exact, and every orbit keeps its lex-least row.  One cut per
+generator is the whole rule: cuts by pairwise products of generators, or by
+the whole group, dropped more nodes but took longer on F_UNSAT4.  On
+instances with no flip (none of the gen_random or gen_planted instances
+tried has one) the search is unchanged.
 
 Rounding.  Let u = 2^-53 and T the computed sum of squares of all entries, so
 N = 2T >= sum_k ||v_k||^2 >= ||A_S||_2 for every S.
@@ -172,19 +201,15 @@ def _flip_generators(vectors: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return found
 
 
-def _lex_greater(member: np.ndarray, sigma_prefix: np.ndarray) -> np.ndarray:
-    """Rows x with x >_lex x o sigma on the first len(sigma_prefix) positions."""
-    x, y = member[:, :len(sigma_prefix)], member[:, sigma_prefix]
-    return (x & ~y)[np.arange(len(x)), np.argmax(x != y, axis=1)]
-
-
 def _bb_search(inst: Instance, node_limit: Optional[int]
                ) -> tuple[float, tuple[int, ...], int, int, int]:
     """Blocked depth-first search over the vectors in the order given:
     (minimum deviation found, its subset, leaves, popped nodes, nodes cut).
 
-    A block is (depth i, partial sums P (L, d, d), membership (L, m),
-    hi = lambda_max(P) (L,)); at depth m, hi is not used.
+    A block is (depth i, partial sums P (L, d, d), membership (L, m), bounds
+    (L, 2, 2)): bounds[:, 0] and bounds[:, 1] are [lower, upper] enclosures
+    of the computed hi - 1/2 = lambda_max(P) - 1/2 and 1/2 - lo =
+    1/2 - lambda_min(P + R_i); at depth m they are not used.
     """
     vectors = inst.vectors
     m, d = vectors.shape
@@ -192,28 +217,46 @@ def _bb_search(inst: Instance, node_limit: Optional[int]
     suffix = np.zeros((m + 1, d, d))
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + outers[i]
-    # lex[i] holds sigma[:L] for each flip whose decided prefix grows at depth
-    # i: the first L positions j with j < i and sigma(j) < i.
-    lex: list[list[np.ndarray]] = [[] for _ in range(m + 1)]
+    # grow[i, c] is added to a kept node's [lower, upper] of (hi - 1/2,
+    # 1/2 - lo) to give its exclude (c = 0) or include (c = 1) child's.
+    slack = 3 * (m + 64 * d * d + 2) * 2.0 ** -53 * (2 * float(np.sum(vectors * vectors)) + 1)
+    squares = (vectors * vectors).sum(axis=1)
+    grow = np.empty((m, 2, 2, 2))
+    grow[...] = -slack, slack
+    grow[:, 0, 0] = 0.0  # the exclude child keeps P, so its hi
+    grow[:, 0, 1, 1] += squares  # P + R_i+1 = P + R_i - v_i v_i^T
+    grow[:, 1, 0, 1] += squares  # P + v_i v_i^T
+    # lex[i] is the (G, width) image array of the flips whose decided prefix
+    # grows at depth i: sigma(j) on the first L positions, those with j < i
+    # and sigma(j) < i, and j itself after them, where x and x o sigma agree.
+    prefixes: list[list[np.ndarray]] = [[] for _ in range(m + 1)]
     for _, sigma in _flip_generators(vectors):
         reach = np.maximum.accumulate(np.maximum(sigma, np.arange(m)))
         decided = np.searchsorted(reach, np.arange(m + 1))
         for i in np.flatnonzero(np.diff(decided)) + 1:
-            lex[i].append(sigma[:decided[i]])
+            prefixes[i].append(sigma[:decided[i]])
+    lex = [None] * (m + 1)
+    for i, group in enumerate(prefixes):
+        if group:
+            lex[i] = np.tile(np.arange(max(map(len, group))), (len(group), 1))
+            for images, s in zip(lex[i], group):
+                images[:len(s)] = s
 
     best_w, best_row = np.inf, np.zeros(m, dtype=bool)
     leaves = nodes = cut = 0
-    root = np.zeros((1, d, d))
-    stack = [(0, root, np.zeros((1, m), dtype=bool), eig_extremes_stack(root)[1])]
+    unknown = np.array([[[-np.inf, np.inf]] * 2])
+    stack = [(0, np.zeros((1, d, d)), np.zeros((1, m), dtype=bool), unknown)]
     while stack:
-        i, p, member, hi = stack.pop()
+        i, p, member, bounds = stack.pop()
         nodes += len(p)
         if node_limit is not None and nodes > node_limit:
             raise TooLarge(f"branch-and-bound exceeded node limit {node_limit}")
-        if lex[i]:
-            keep = ~np.any([_lex_greater(member, s) for s in lex[i]], axis=0)
+        if lex[i] is not None:
+            x, y = member[:, None, :lex[i].shape[1]], member[:, lex[i]]
+            first = np.argmax(x != y, axis=2)[..., None]
+            keep = ~np.take_along_axis(x & ~y, first, axis=2).any(axis=(1, 2))
             cut += len(p) - int(np.count_nonzero(keep))
-            p, member, hi = p[keep], member[keep], hi[keep]
+            p, member, bounds = p[keep], member[keep], bounds[keep]
             if not len(p):
                 continue
         if i == m:
@@ -223,19 +266,28 @@ def _bb_search(inst: Instance, node_limit: Optional[int]
             if dev[t] < best_w:
                 best_w, best_row = float(dev[t]), member[t]
             continue
-        lo = eig_extremes_stack(p + suffix[i])[0]
-        keep = np.maximum(distance_half(lo, hi), 0.0) < best_w
-        p, member, hi = p[keep], member[keep], hi[keep]
-        p_in = p + outers[i]
-        member_in = member.copy()
-        member_in[:, i] = True
-        # Leaves take their full spectrum, so only inner children need hi.
-        hi_in = eig_extremes_stack(p_in)[1] if i + 1 < m else hi
+        if not best_w > 0:  # max(.., 0) < best_w fails for every node
+            continue
+        # A value is computed only when its enclosure straddles the incumbent,
+        # hi first, so that a node the hi test drops needs no lambda_min.
+        lower, upper = bounds[..., 0], bounds[..., 1]
+        open_ = ~((upper < best_w) | (lower >= best_w))
+        solve = open_[:, 0]
+        if solve.any():
+            bounds[solve, 0] = (eig_extremes_stack(p[solve])[1] - 0.5)[:, None]
+        keep = upper[:, 0] < best_w
+        solve = keep & open_[:, 1]
+        if solve.any():
+            bounds[solve, 1] = (0.5 - eig_extremes_stack(p[solve] + suffix[i])[0])[:, None]
+        keep &= upper[:, 1] < best_w
+        p, member, bounds = p[keep], member[keep], bounds[keep]
         # Exclude children first, cut into blocks pushed so the first pops first.
-        p, member, hi = (np.concatenate(pair) for pair in
-                         ((p, p_in), (member, member_in), (hi, hi_in)))
+        p = np.concatenate((p, p + outers[i]))
+        member = np.concatenate((member, member))
+        member[len(member) // 2:, i] = True
+        bounds = (bounds + grow[i, :, None]).reshape(-1, 2, 2)
         for s in reversed(range(0, len(p), _BLOCK)):
-            stack.append((i + 1, p[s:s + _BLOCK], member[s:s + _BLOCK], hi[s:s + _BLOCK]))
+            stack.append((i + 1, p[s:s + _BLOCK], member[s:s + _BLOCK], bounds[s:s + _BLOCK]))
     return best_w, tuple(np.flatnonzero(best_row).tolist()), leaves, nodes, cut
 
 

@@ -8,6 +8,12 @@ lie within 3 * rounding_bound of its w.
 reference_brute_force_w evaluates every subset, in binary order, through
 the scalar eigenvalue kernel on a from-scratch sum; it audits the batched
 subset-sum tables and is only sensible for small m.
+reference_eager_search is ks2.oracle._bb_search as it was before its bounds
+became intervals: every uncut node eigensolves its completion bound and every
+kept node its include child's lambda_max, and the flip cuts are tested one
+generator at a time.  It reads ks2.oracle._BLOCK when called, so a test that
+patches the block size patches both searches, and the tests require the whole
+(w, subset, leaves, nodes, cut) tuple of the interval search to equal it.
 reference_branch_bound_w is the branch-and-bound search one node per pop,
 with two eigensolves per internal node, and the same lex-leader cuts for the
 flips that ks2.oracle._flip_generators finds, tested node by node on the
@@ -21,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from ks2 import oracle as oracle_mod
 from ks2.errors import TooLarge
 from ks2.instance import Instance, subset_distance
 from ks2.linalg import distance_half, eig_extremes_stack, spectral_distance_half
@@ -141,3 +148,71 @@ def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -
         stack.append((i + 1, partial + outers[i], chosen + (i,)))
         stack.append((i + 1, partial, chosen))
     return OracleResult(best_w, best_subset, 1 << m, leaves, nodes, cut)
+
+
+def _lex_greater(member: np.ndarray, sigma_prefix: np.ndarray) -> np.ndarray:
+    """Rows x with x >_lex x o sigma on the first len(sigma_prefix) positions."""
+    x, y = member[:, :len(sigma_prefix)], member[:, sigma_prefix]
+    return (x & ~y)[np.arange(len(x)), np.argmax(x != y, axis=1)]
+
+
+def reference_eager_search(inst: Instance, node_limit: Optional[int]
+                           ) -> tuple[float, tuple[int, ...], int, int, int]:
+    """Blocked depth-first search over the vectors in the order given:
+    (minimum deviation found, its subset, leaves, popped nodes, nodes cut).
+
+    A block is (depth i, partial sums P (L, d, d), membership (L, m),
+    hi = lambda_max(P) (L,)); at depth m, hi is not used.
+    """
+    vectors = inst.vectors
+    m, d = vectors.shape
+    outers = vectors[:, :, None] * vectors[:, None, :]
+    suffix = np.zeros((m + 1, d, d))
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + outers[i]
+    # lex[i] holds sigma[:L] for each flip whose decided prefix grows at depth
+    # i: the first L positions j with j < i and sigma(j) < i.
+    lex: list[list[np.ndarray]] = [[] for _ in range(m + 1)]
+    for _, sigma in _flip_generators(vectors):
+        reach = np.maximum.accumulate(np.maximum(sigma, np.arange(m)))
+        decided = np.searchsorted(reach, np.arange(m + 1))
+        for i in np.flatnonzero(np.diff(decided)) + 1:
+            lex[i].append(sigma[:decided[i]])
+
+    best_w, best_row = np.inf, np.zeros(m, dtype=bool)
+    leaves = nodes = cut = 0
+    root = np.zeros((1, d, d))
+    stack = [(0, root, np.zeros((1, m), dtype=bool), eig_extremes_stack(root)[1])]
+    while stack:
+        i, p, member, hi = stack.pop()
+        nodes += len(p)
+        if node_limit is not None and nodes > node_limit:
+            raise TooLarge(f"branch-and-bound exceeded node limit {node_limit}")
+        if lex[i]:
+            keep = ~np.any([_lex_greater(member, s) for s in lex[i]], axis=0)
+            cut += len(p) - int(np.count_nonzero(keep))
+            p, member, hi = p[keep], member[keep], hi[keep]
+            if not len(p):
+                continue
+        if i == m:
+            dev = distance_half(*eig_extremes_stack(p))
+            t = int(np.argmin(dev))
+            leaves += len(p)
+            if dev[t] < best_w:
+                best_w, best_row = float(dev[t]), member[t]
+            continue
+        lo = eig_extremes_stack(p + suffix[i])[0]
+        keep = np.maximum(distance_half(lo, hi), 0.0) < best_w
+        p, member, hi = p[keep], member[keep], hi[keep]
+        p_in = p + outers[i]
+        member_in = member.copy()
+        member_in[:, i] = True
+        # Leaves take their full spectrum, so only inner children need hi.
+        hi_in = eig_extremes_stack(p_in)[1] if i + 1 < m else hi
+        # Exclude children first, cut into blocks pushed so the first pops first.
+        p, member, hi = (np.concatenate(pair) for pair in
+                         ((p, p_in), (member, member_in), (hi, hi_in)))
+        block = oracle_mod._BLOCK
+        for s in reversed(range(0, len(p), block)):
+            stack.append((i + 1, p[s:s + block], member[s:s + block], hi[s:s + block]))
+    return best_w, tuple(np.flatnonzero(best_row).tolist()), leaves, nodes, cut

@@ -245,7 +245,29 @@ class TestCheck:
             main(["check", "violation", str(inst), *[x for kv in flags.items() for x in kv]])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and not captured.out
-        assert captured.err.endswith(f"check violation requires {missing}\n")
+        assert captured.err.endswith(f"the following arguments are required: {missing}\n")
+        assert "Traceback" not in captured.err
+
+    # Each check and reduce mode takes only the flags it reads.
+    FOREIGN_FLAGS = (
+        [(["check", "instance", "x"], flag) for flag in ("--var-limit", "--layout", "--subset")]
+        + [(["check", "ksform", "x"], flag)
+           for flag in ("--iso-tol", "--var-limit", "--layout", "--subset")]
+        + [(["check", "nae", "x"], flag) for flag in ("--iso-tol", "--layout", "--subset")]
+        + [(["check", "violation", "x", "--layout", "l", "--subset", "s"], flag)
+           for flag in ("--iso-tol", "--var-limit")]
+        + [(["reduce", "nae2ksform", "x", "--out", "o"], "--layout"),
+           (["reduce", "ksform2inst", "x", "--out", "o"], "--varmap")])
+
+    @pytest.mark.parametrize("argv, flag", FOREIGN_FLAGS,
+                             ids=[f"{a[0]}-{a[1]}{f}" for a, f in FOREIGN_FLAGS])
+    def test_mode_rejects_foreign_flag(self, capsys, argv, flag):
+        # A flag the mode never reads is a usage error, not silently ignored.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out
+        assert f"unrecognized arguments: {flag} 5" in captured.err
         assert "Traceback" not in captured.err
 
     def test_violation_witness(self, tmp_path, capsys):

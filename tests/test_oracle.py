@@ -15,11 +15,13 @@ from ks2.oracle import (
     with_threshold,
 )
 
+import reference_oracle
 from conftest import gram_families, random_rotation
 from reference_oracle import (
     bits,
     reference_branch_bound_w,
     reference_brute_force_w,
+    reference_eager_search,
     reference_table_w,
     rounding_bound,
     subset_sums,
@@ -194,22 +196,78 @@ BLOCKED_CASES = (
        pytest.param("funsat4_built", 0, 0, 0, id="F_UNSAT4")])
 
 
+def _blocked_instance(request, kind, d, size, seed):
+    if kind == "random":
+        return gen_random(d, size, seed=seed)
+    if kind == "planted":
+        return gen_planted(d, size, seed=seed)[0]
+    return request.getfixturevalue(kind)[0]
+
+
 @pytest.mark.parametrize("kind, d, size, seed", BLOCKED_CASES)
 def test_blocked_search_matches_node_by_node_reference(request, kind, d, size, seed):
     # Blocking changes the visiting order only: the minimum found must be the
     # one-node-at-a-time search's minimum, bit for bit.
-    if kind == "random":
-        inst = gen_random(d, size, seed=seed)
-    elif kind == "planted":
-        inst, _ = gen_planted(d, size, seed=seed)
-    else:
-        inst, _ = request.getfixturevalue(kind)
+    inst = _blocked_instance(request, kind, d, size, seed)
     w, _, leaves, nodes, cut = _bb_search(inst, None)
     assert w == reference_branch_bound_w(inst).w_value
     assert cut <= nodes
     assert leaves <= 2 ** inst.num_vectors
     # A full tree over m vectors has 2^(m+1) - 1 nodes: ks oracle's default --node-limit.
     assert nodes <= 2 ** (inst.num_vectors + 1) - 1
+
+
+def _run_counted(monkeypatch, search, inst):
+    """search(inst, None) and the number of matrices it eigensolved."""
+    sizes = []
+
+    def counting(stack):
+        sizes.append(len(stack))
+        return eig_extremes_stack(stack)
+
+    for module in (oracle_mod, reference_oracle):
+        monkeypatch.setattr(module, "eig_extremes_stack", counting)
+    return search(inst, None), sum(sizes)
+
+
+@pytest.mark.parametrize("block", [128, 3], ids=["block-128", "block-3"])
+@pytest.mark.parametrize("kind, d, size, seed", BLOCKED_CASES)
+def test_interval_bounds_decide_as_eager_search(request, monkeypatch, kind, d, size, seed,
+                                                block):
+    # A computed value always lies in its interval, so every keep or prune is
+    # the one made by computing every bound: the whole result is the eager
+    # search's, and the intervals never cost an extra eigensolve.
+    monkeypatch.setattr(oracle_mod, "_BLOCK", block)
+    inst = _blocked_instance(request, kind, d, size, seed)
+    eager, eager_solved = _run_counted(monkeypatch, reference_eager_search, inst)
+    res, solved = _run_counted(monkeypatch, _bb_search, inst)
+    assert res == eager
+    assert solved <= eager_solved
+
+
+def test_overflowing_slack_decides_as_eager_search(monkeypatch):
+    # T = 3 * 2^1022 is finite but 2T + 1 overflows, so the slack is inf: no
+    # interval but an exclude child's hi, its parent's value, decides a test.
+    inst = Instance(gen_random(3, 9, seed=3).vectors * 2.0 ** 511)
+    t = float(np.sum(inst.vectors * inst.vectors))
+    assert np.isfinite(t) and 2 * t + 1 == np.inf
+    eager, eager_solved = _run_counted(monkeypatch, reference_eager_search, inst)
+    res, solved = _run_counted(monkeypatch, _bb_search, inst)
+    assert res == eager and np.isfinite(res[0])
+    assert solved <= eager_solved
+
+
+@pytest.mark.parametrize("kind", ["random", "funsat4_built"])
+def test_interval_bounds_solve_fewer_matrices(request, monkeypatch, kind):
+    # branch_bound_w's order, on the benchmark's instance size and on the
+    # unsatisfiable gadget.
+    inst = (gen_random(5, 20, seed=1) if kind == "random"
+            else request.getfixturevalue(kind)[0])
+    res, solved = _run_counted(monkeypatch, lambda inst, _: branch_bound_w(inst), inst)
+    monkeypatch.setattr(oracle_mod, "_bb_search", reference_eager_search)
+    eager, eager_solved = _run_counted(monkeypatch, lambda inst, _: branch_bound_w(inst), inst)
+    assert res == eager
+    assert solved < eager_solved
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -394,3 +452,11 @@ def test_flip_cuts_keep_uncut_w(request, monkeypatch, fixture):
     assert uncut.cut == 0 and uncut.nodes > res.nodes
     assert abs(res.w_value - uncut.w_value) <= 3 * rounding_bound(inst.vectors), (
         res.w_value, uncut.w_value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(flip_closed_families())
+def test_interval_bounds_decide_as_eager_search_with_flips(case):
+    # The gathered cut test drops the rows the per-generator test dropped.
+    inst, _ = case
+    assert _bb_search(inst, None) == reference_eager_search(inst, None)

@@ -11,8 +11,8 @@ import pytest
 
 import ks2
 from ks2 import check_subset, load_instance, load_subset, solve
-from ks2.oracle import brute_force_w
-from ks2.reduction import F_SAT3, emit_dimacs
+from ks2.oracle import branch_bound_w, brute_force_w
+from ks2.reduction import F_SAT3, emit_dimacs, ks_form_to_instance
 
 
 def ks_cmd():
@@ -123,3 +123,23 @@ def test_certify_script_runs_from_checkout(tmp_path):
                           text=True, cwd=tmp_path, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "certified" in proc.stdout
+
+
+def test_oracle_layers_script_writes_bench(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "oracle_layers.py"
+    out = tmp_path / "BENCH_oracle.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script), "--reps", "1", "--instances", "F_SAT3",
+                           "--out", str(out)], capture_output=True, text=True, cwd=tmp_path,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report.keys() == {"instances", "machine", "peak_rss_mb"}
+    assert list(report["instances"]) == ["F_SAT3"] and report["peak_rss_mb"] > 0
+    rec = report["instances"]["F_SAT3"]
+    res = branch_bound_w(ks_form_to_instance(F_SAT3)[0])
+    assert (rec["nodes"], rec["cut"], rec["leaves"], rec["w"]) == (
+        res.nodes, res.cut, res.eigensolved, res.w_value)
+    assert rec["leaves"] <= rec["eigensolved_matrices"] and 0 < rec["eig_calls"]
+    assert rec["reps"] == 1 and rec["wall_iqr_s"] == 0
+    assert rec["us_per_node"] == pytest.approx(rec["wall_median_s"] * 1e6 / rec["nodes"])
