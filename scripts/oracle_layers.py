@@ -7,10 +7,11 @@ For each instance (the NAE gadgets F_SAT3 and F_UNSAT4, and gen_random(5, 20)
 seeds 0 and 1) it records the search's counters (popped nodes, nodes cut by
 the flip symmetries, leaves evaluated), the matrices eigensolved and the
 eig_extremes_stack calls (counted in one extra run), the median and
-interquartile range of the wall time over --reps timed runs, and the
-microseconds per popped node at the median.  The JSON file also names the
-machine and the peak RSS of this process.  BLAS runs on one thread, as in
-the benchmark.
+interquartile range of the wall time over --reps timed runs, its minimum
+(the run least slowed by other load on the machine, so the column to compare
+between runs taken at different times), and the microseconds per popped node
+at the median.  The JSON file also names the machine and the peak RSS of this
+process.  BLAS runs on one thread, as in the benchmark.
 """
 import os
 
@@ -72,7 +73,8 @@ def measure(inst, reps):
         "m": inst.num_vectors, "d": inst.dim, "w": res.w_value,
         "nodes": res.nodes, "cut": res.cut, "leaves": res.eigensolved,
         "eigensolved_matrices": matrices, "eig_calls": calls,
-        "wall_median_s": median, "wall_iqr_s": q3 - q1, "reps": reps,
+        "wall_median_s": median, "wall_iqr_s": q3 - q1, "wall_min_s": min(walls),
+        "reps": reps,
         "us_per_node": median * 1e6 / res.nodes,
     }
 
@@ -104,7 +106,8 @@ def main(argv=None) -> int:
         r = records[name]
         print(f"{name}: {r['nodes']} nodes ({r['cut']} cut, {r['leaves']} leaves),"
               f" {r['eigensolved_matrices']} matrices in {r['eig_calls']} calls,"
-              f" {r['wall_median_s'] * 1e3:.1f} ms (IQR {r['wall_iqr_s'] * 1e3:.1f}),"
+              f" {r['wall_median_s'] * 1e3:.1f} ms (IQR {r['wall_iqr_s'] * 1e3:.1f},"
+              f" min {r['wall_min_s'] * 1e3:.1f}),"
               f" {r['us_per_node']:.2f} us/node")
     report = {"instances": records, "machine": machine(),
               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}

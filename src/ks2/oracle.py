@@ -57,23 +57,28 @@ the vectors bit for bit up to sign).  Then v_sigma(j) v_sigma(j)^T = D_k v_j
 v_j^T D_k, so D_k A_S D_k = A_{sigma S} exactly; D_k is orthogonal, so
 dev(sigma S) = dev(S) exactly.  The flips generate a group G of permutations
 that keep dev, so dev is constant on each orbit of G on subsets.  Write S as
-its membership row x in the search's order; sigma_k is an involution, so the
-row of sigma_k S is x o sigma_k.  The lex-least row x* of an orbit (0 < 1,
-position 0 most significant) satisfies x* <=_lex g(x*) for every g in G, so
-for every generator: x* <=_lex x* o sigma_k.  A node at depth i knows x_j for
-j < i, so it knows x and x o sigma_k on the first L_k(i) positions, the
-longest prefix with j < i and sigma_k(j) < i.  When x >_lex x o sigma_k there,
-no leaf below it is an orbit's lex-least row, and the node is cut: dropped
-when popped, before any eigensolve, and counted in nodes and in cut.  A row
-that passed at L_k(i - 1) passes again until L_k grows, so each generator is
-tested only at those depths, and all generators tested at a depth share one
-gather of x and x o sigma_k: a row is cut when x & ~(x o sigma_k) holds at
-the first position where the two differ.  The cuts read membership only, so
-they are exact, and every orbit keeps its lex-least row.  One cut per
-generator is the whole rule: cuts by pairwise products of generators, or by
-the whole group, dropped more nodes but took longer on F_UNSAT4.  On
-instances with no flip (none of the gen_random or gen_planted instances
-tried has one) the search is unchanged.
+its membership row x in the search's order; x o g, (x o g)_j = x_g(j), is
+the row of g^-1 S.  So the lex-least row x* of an orbit (0 < 1, position 0
+most significant) satisfies x* <=_lex x* o g for every g in G, x* o g being
+the row of g^-1 S*.  The search tests every sigma_k and every product
+sigma_a o sigma_b (_cut_permutations): the D_k commute and rows are paired
+in index order, so the sigma_k commute, and a product of commuting
+involutions is an involution.  A node at depth i knows x_j for j < i, so it
+knows x and x o g on the first L_g(i) positions, the longest prefix with
+j < i and g(j) < i.  When x >_lex x o g there, no leaf below it is an
+orbit's lex-least row, and the node is cut: dropped when popped, before any
+eigensolve, and counted in nodes and in cut.  A row that passed at
+L_g(i - 1) passes again until L_g grows, so g is tested only at those
+depths.  x >_lex x o g on L positions exactly when
+s = sum_{j<L} (x_j - x_g(j)) 2^-j > 0, as 2^-j exceeds the sum of all later
+powers; one matrix product of the membership rows with these weights tests
+every g at a depth.  s is a signed sum of distinct powers of two, and so is
+every partial sum: a multiple of 2^(1-L) below 2 in magnitude, exact for
+L <= 53 in any summation order.  Longer prefixes are cut into pieces of
+_PIECE positions, weighted 2^-(j mod _PIECE), and the first nonzero piece
+gives the sign.  The cuts read membership only, so they are exact, and every
+orbit keeps its lex-least row.  On instances with no flip (none of the
+gen_random or gen_planted instances tried has one) the search is unchanged.
 
 Rounding.  Let u = 2^-53 and T the computed sum of squares of all entries, so
 N = 2T >= sum_k ||v_k||^2 >= ||A_S||_2 for every S.
@@ -121,6 +126,7 @@ from .linalg import distance_half, eig_extremes_stack
 
 DEFAULT_M_LIMIT = 24
 _BLOCK = 128  # nodes per branch-and-bound block
+_PIECE = 52  # prefix positions per exactly summed piece of the lex test
 
 
 @dataclass(frozen=True)
@@ -201,6 +207,43 @@ def _flip_generators(vectors: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return found
 
 
+def _cut_permutations(vectors: np.ndarray) -> list[np.ndarray]:
+    """The permutations the lex-leader cuts test: every flip sigma_k of
+    _flip_generators and every distinct product sigma_a o sigma_b other than
+    the identity, at most G(G + 1)/2 of them for G flips."""
+    flips = [sigma for _, sigma in _flip_generators(vectors)]
+    products = [s[t] for a, s in enumerate(flips) for t in flips[:a]]
+    perms = {g.tobytes(): g for g in flips + products}
+    perms.pop(np.arange(len(vectors)).tobytes(), None)
+    return list(perms.values())
+
+
+def _lex_weights(prefixes: list[np.ndarray], m: int) -> np.ndarray:
+    """(m, pieces, E) weights of the lex test: prefixes[e] is g[:L] for the
+    e-th permutation g, and piece q of a membership row x times column e is
+    sum (x_j - x_g(j)) 2^-(j - q _PIECE) over the prefix positions j in
+    [q _PIECE, (q + 1) _PIECE)."""
+    lengths = list(map(len, prefixes))
+    weights = np.zeros((m, -(-max(lengths) // _PIECE), len(prefixes)))
+    e = np.repeat(np.arange(len(prefixes)), lengths)
+    j = np.concatenate([np.arange(n) for n in lengths])
+    power = 2.0 ** -(j % _PIECE)
+    # (j, e) pairs are distinct, and so are (g(j), e) pairs: no index repeats.
+    weights[j, j // _PIECE, e] += power
+    weights[np.concatenate(prefixes), j // _PIECE, e] -= power
+    return weights
+
+
+def _lex_greater(member: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows x of member (L, m) with x >_lex x o g on g's prefix for some
+    column g of _lex_weights: the first nonzero piece of a column is > 0."""
+    sums = (member @ weights.reshape(len(weights), -1)).reshape(len(member), *weights.shape[1:])
+    sign = sums[:, -1]
+    for piece in range(sums.shape[1] - 2, -1, -1):
+        sign = np.where(sums[:, piece] != 0, sums[:, piece], sign)
+    return (sign > 0).any(axis=1)
+
+
 def _bb_search(inst: Instance, node_limit: Optional[int]
                ) -> tuple[float, tuple[int, ...], int, int, int]:
     """Blocked depth-first search over the vectors in the order given:
@@ -226,21 +269,15 @@ def _bb_search(inst: Instance, node_limit: Optional[int]
     grow[:, 0, 0] = 0.0  # the exclude child keeps P, so its hi
     grow[:, 0, 1, 1] += squares  # P + R_i+1 = P + R_i - v_i v_i^T
     grow[:, 1, 0, 1] += squares  # P + v_i v_i^T
-    # lex[i] is the (G, width) image array of the flips whose decided prefix
-    # grows at depth i: sigma(j) on the first L positions, those with j < i
-    # and sigma(j) < i, and j itself after them, where x and x o sigma agree.
+    # lex[i] holds the lex weights of the permutations whose decided prefix,
+    # the first L positions j with j < i and g(j) < i, grows at depth i.
     prefixes: list[list[np.ndarray]] = [[] for _ in range(m + 1)]
-    for _, sigma in _flip_generators(vectors):
-        reach = np.maximum.accumulate(np.maximum(sigma, np.arange(m)))
+    for g in _cut_permutations(vectors):
+        reach = np.maximum.accumulate(np.maximum(g, np.arange(m)))
         decided = np.searchsorted(reach, np.arange(m + 1))
         for i in np.flatnonzero(np.diff(decided)) + 1:
-            prefixes[i].append(sigma[:decided[i]])
-    lex = [None] * (m + 1)
-    for i, group in enumerate(prefixes):
-        if group:
-            lex[i] = np.tile(np.arange(max(map(len, group))), (len(group), 1))
-            for images, s in zip(lex[i], group):
-                images[:len(s)] = s
+            prefixes[i].append(g[:decided[i]])
+    lex = [_lex_weights(group, m) if group else None for group in prefixes]
 
     best_w, best_row = np.inf, np.zeros(m, dtype=bool)
     leaves = nodes = cut = 0
@@ -252,9 +289,7 @@ def _bb_search(inst: Instance, node_limit: Optional[int]
         if node_limit is not None and nodes > node_limit:
             raise TooLarge(f"branch-and-bound exceeded node limit {node_limit}")
         if lex[i] is not None:
-            x, y = member[:, None, :lex[i].shape[1]], member[:, lex[i]]
-            first = np.argmax(x != y, axis=2)[..., None]
-            keep = ~np.take_along_axis(x & ~y, first, axis=2).any(axis=(1, 2))
+            keep = ~_lex_greater(member, lex[i])
             cut += len(p) - int(np.count_nonzero(keep))
             p, member, bounds = p[keep], member[keep], bounds[keep]
             if not len(p):

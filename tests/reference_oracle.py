@@ -10,16 +10,18 @@ the scalar eigenvalue kernel on a from-scratch sum; it audits the batched
 subset-sum tables and is only sensible for small m.
 reference_eager_search is ks2.oracle._bb_search as it was before its bounds
 became intervals: every uncut node eigensolves its completion bound and every
-kept node its include child's lambda_max, and the flip cuts are tested one
-generator at a time.  It reads ks2.oracle._BLOCK when called, so a test that
-patches the block size patches both searches, and the tests require the whole
-(w, subset, leaves, nodes, cut) tuple of the interval search to equal it.
+kept node its include child's lambda_max, and the lex-leader cuts are tested
+one permutation at a time by a gather of x o g.  It reads ks2.oracle._BLOCK
+when called, so a test that patches the block size patches both searches,
+and the tests require the whole (w, subset, leaves, nodes, cut) tuple of the
+interval search to equal it.
 reference_branch_bound_w is the branch-and-bound search one node per pop,
-with two eigensolves per internal node, and the same lex-leader cuts for the
-flips that ks2.oracle._flip_generators finds, tested node by node on the
-chosen indices.  The tests compare the blocked search's minimum against it
-bit for bit.  Both return the accumulated minimum, not the from-scratch w
-that ks2.oracle reports.
+with two eigensolves per internal node, and the same lex-leader cuts, tested
+node by node on the chosen indices.  The tests compare the blocked search's
+minimum against it bit for bit.  Both cut by the permutations of
+ks2.oracle._cut_permutations, every coordinate flip and every product of
+two, and both return the accumulated minimum, not the from-scratch w that
+ks2.oracle reports.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from ks2 import oracle as oracle_mod
 from ks2.errors import TooLarge
 from ks2.instance import Instance, subset_distance
 from ks2.linalg import distance_half, eig_extremes_stack, spectral_distance_half
-from ks2.oracle import OracleResult, _flip_generators
+from ks2.oracle import OracleResult, _cut_permutations
 
 LOW_BITS = 14  # vectors in the low table: 2^14 matrices per chunk
 
@@ -100,17 +102,17 @@ def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -
     suffix = [np.zeros((d, d)) for _ in range(m + 1)]
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + outers[i]
-    flips = [sigma.tolist() for _, sigma in _flip_generators(vectors)]
+    perms = [g.tolist() for g in _cut_permutations(vectors)]
 
     def lex_greater(i: int, chosen: tuple[int, ...]) -> bool:
-        # Compare x with x o sigma position by position while both entries
-        # are decided, i.e. j < i and sigma(j) < i.
+        # Compare x with x o g position by position while both entries are
+        # decided, i.e. j < i and g(j) < i.
         x = [j in chosen for j in range(i)]
-        for sigma in flips:
+        for g in perms:
             for j in range(i):
-                if sigma[j] >= i:
+                if g[j] >= i:
                     break
-                if x[j] != x[sigma[j]]:
+                if x[j] != x[g[j]]:
                     if x[j]:
                         return True
                     break
@@ -150,9 +152,9 @@ def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -
     return OracleResult(best_w, best_subset, 1 << m, leaves, nodes, cut)
 
 
-def _lex_greater(member: np.ndarray, sigma_prefix: np.ndarray) -> np.ndarray:
-    """Rows x with x >_lex x o sigma on the first len(sigma_prefix) positions."""
-    x, y = member[:, :len(sigma_prefix)], member[:, sigma_prefix]
+def _lex_greater(member: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """Rows x with x >_lex x o g on the first len(prefix) = L positions, prefix = g[:L]."""
+    x, y = member[:, :len(prefix)], member[:, prefix]
     return (x & ~y)[np.arange(len(x)), np.argmax(x != y, axis=1)]
 
 
@@ -170,14 +172,14 @@ def reference_eager_search(inst: Instance, node_limit: Optional[int]
     suffix = np.zeros((m + 1, d, d))
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + outers[i]
-    # lex[i] holds sigma[:L] for each flip whose decided prefix grows at depth
-    # i: the first L positions j with j < i and sigma(j) < i.
+    # lex[i] holds g[:L] for each permutation whose decided prefix grows at
+    # depth i: the first L positions j with j < i and g(j) < i.
     lex: list[list[np.ndarray]] = [[] for _ in range(m + 1)]
-    for _, sigma in _flip_generators(vectors):
-        reach = np.maximum.accumulate(np.maximum(sigma, np.arange(m)))
+    for g in _cut_permutations(vectors):
+        reach = np.maximum.accumulate(np.maximum(g, np.arange(m)))
         decided = np.searchsorted(reach, np.arange(m + 1))
         for i in np.flatnonzero(np.diff(decided)) + 1:
-            lex[i].append(sigma[:decided[i]])
+            lex[i].append(g[:decided[i]])
 
     best_w, best_row = np.inf, np.zeros(m, dtype=bool)
     leaves = nodes = cut = 0

@@ -155,6 +155,18 @@ class TestOracle:
         assert res["w"] == ref.w_value <= 1e-12
         assert 0 < res["cut"] == ref.cut < res["nodes"] == ref.nodes
 
+    def test_oracle_reports_pairwise_cuts(self, tmp_path, capsys):
+        # F_UNSAT4 is cut by its flips and their pairwise products; the JSON
+        # counters are branch_bound_w's.
+        inst = tmp_path / "inst.json"
+        inst.write_text(instance_to_json(ks_form_to_instance(F_UNSAT4)[0]))
+        code, res = run(capsys, "oracle", str(inst))
+        assert code == 0
+        ref = branch_bound_w(load_instance(inst))
+        assert (res["w"], res["nodes"], res["cut"], res["eigensolved"]) == (
+            ref.w_value, ref.nodes, ref.cut, ref.eigensolved)
+        assert 0 < res["cut"] < res["nodes"]
+
     def test_branch_bound_node_limit(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         run(capsys, "gen", "random", "--d", "3", "--m", "12", "--seed", "6",

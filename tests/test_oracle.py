@@ -9,7 +9,10 @@ from ks2.errors import TooLarge
 from ks2.linalg import distance_half, eig_extremes_stack
 from ks2.oracle import (
     _bb_search,
+    _cut_permutations,
     _flip_generators,
+    _lex_greater,
+    _lex_weights,
     branch_bound_w,
     brute_force_w,
     with_threshold,
@@ -211,10 +214,10 @@ def test_blocked_search_matches_node_by_node_reference(request, kind, d, size, s
     inst = _blocked_instance(request, kind, d, size, seed)
     w, _, leaves, nodes, cut = _bb_search(inst, None)
     assert w == reference_branch_bound_w(inst).w_value
-    assert cut <= nodes
-    assert leaves <= 2 ** inst.num_vectors
     # A full tree over m vectors has 2^(m+1) - 1 nodes: ks oracle's default --node-limit.
-    assert nodes <= 2 ** (inst.num_vectors + 1) - 1
+    assert leaves <= 2 ** inst.num_vectors
+    assert leaves <= nodes <= 2 ** (inst.num_vectors + 1) - 1
+    assert cut <= nodes
 
 
 def _run_counted(monkeypatch, search, inst):
@@ -408,6 +411,34 @@ class TestFlipGenerators:
         # Each axis vector is its own flip up to sign: sigma would be the identity.
         assert _flip_generators(axis_pairs_d3.vectors) == []
 
+    @pytest.mark.parametrize("fixture, count", [("fsat3_built", 6 + 15), ("funsat4_built", 7 + 21)])
+    def test_cut_permutations_are_flip_products(self, request, fixture, count):
+        # Every flip and every product of two: commuting involutions, each an
+        # exact symmetry D A_S D = A_{g S} for D the product of the flips' D_k.
+        inst, _ = request.getfixturevalue(fixture)
+        m, d = inst.vectors.shape
+        outers = inst.vectors[:, :, None] * inst.vectors[:, None, :]
+        flips = _flip_generators(inst.vectors)
+        signs = {}
+        for a, (k, s) in enumerate(flips):
+            signs[s.tobytes()] = np.where(np.arange(d) == k, -1.0, 1.0)
+            for l, t in flips[:a]:
+                assert np.array_equal(s[t], t[s])
+                signs[s[t].tobytes()] = np.where(np.isin(np.arange(d), [k, l]), -1.0, 1.0)
+        perms = _cut_permutations(inst.vectors)
+        assert len({g.tobytes() for g in perms}) == len(perms) == count
+        for g in perms:
+            assert np.array_equal(g[g], np.arange(m)) and (g != np.arange(m)).any()
+            sign = signs[g.tobytes()]
+            assert np.array_equal(outers[g], sign[:, None] * outers * sign)
+
+    def test_cut_permutations_drop_identity_and_repeats(self):
+        # Two coordinates with the same sigma: their product is the identity
+        # and each sigma is listed once.
+        rows = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        assert [(k, g.tolist()) for k, g in _flip_generators(rows)] == [(0, [1, 0]), (1, [1, 0])]
+        assert [g.tolist() for g in _cut_permutations(rows)] == [[1, 0]]
+
 
 @st.composite
 def flip_closed_families(draw):
@@ -438,6 +469,37 @@ def test_flip_cuts_match_unfiltered_table(case):
     _assert_matches_table(inst, branch_bound_w(inst), reference_table_w(inst))
 
 
+def _involution(rng, n):
+    """A random involution of range(n): a random number of disjoint swaps."""
+    g = np.arange(n)
+    pairs = rng.permutation(n)[:2 * rng.integers(0, n // 2 + 1)].reshape(-1, 2)
+    g[pairs[:, 0]], g[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    return g
+
+
+@pytest.mark.parametrize("width", range(1, 121))
+def test_lex_test_matches_python_compare(width):
+    # The matrix-product lex test against list comparison, for prefixes of
+    # up to 120 positions: one exact sum up to _PIECE = 52 positions, pieces
+    # beyond.  Rows have width + 1 positions, and the last permutation's
+    # prefix is all width of them, its last position swapped with the extra
+    # one.  Half the rows are fixed by it but for one bit flipped late, so
+    # that only the lowest weights decide them.
+    rng = np.random.default_rng(width)
+    perms = [_involution(rng, width + 1) for _ in range(2)]
+    last = np.append(_involution(rng, width - 1), [width, width - 1])
+    prefixes = [g[:rng.integers(1, width + 1)] for g in perms] + [last[:width]]
+    rows = rng.random((40, width + 1)) < 0.5
+    tied = rows[20:] | rows[20:, last]
+    moved = np.flatnonzero(last != np.arange(width + 1))
+    late = moved[np.argsort(np.minimum(moved, last[moved]))][-4:]
+    tied[np.arange(len(tied)), rng.choice(late, len(tied))] ^= True
+    rows[20:] = tied
+    expected = [any(x[:len(p)] > [x[j] for j in p] for p in prefixes) for x in rows.tolist()]
+    assert expected.count(True) not in (0, len(rows))
+    assert _lex_greater(rows, _lex_weights(prefixes, width + 1)).tolist() == expected
+
+
 @pytest.mark.parametrize("fixture", ["fsat3_built", "funsat4_built"])
 def test_flip_cuts_keep_uncut_w(request, monkeypatch, fixture):
     inst, _ = request.getfixturevalue(fixture)
@@ -457,6 +519,29 @@ def test_flip_cuts_keep_uncut_w(request, monkeypatch, fixture):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(flip_closed_families())
 def test_interval_bounds_decide_as_eager_search_with_flips(case):
-    # The gathered cut test drops the rows the per-generator test dropped.
+    # The matrix-product cut test drops the rows the per-permutation gather of
+    # reference_eager_search drops.
     inst, _ = case
     assert _bb_search(inst, None) == reference_eager_search(inst, None)
+
+
+def test_pairwise_cuts_pop_fewer_nodes(monkeypatch, funsat4_built):
+    # Products of two flips cut nodes no single flip cuts, and keep w.
+    inst, _ = funsat4_built
+    res = branch_bound_w(inst)
+    monkeypatch.setattr(oracle_mod, "_cut_permutations",
+                        lambda vectors: [sigma for _, sigma in _flip_generators(vectors)])
+    generators_only = branch_bound_w(inst)
+    assert generators_only.nodes > res.nodes
+    assert abs(res.w_value - generators_only.w_value) <= 3 * rounding_bound(inst.vectors), (
+        res.w_value, generators_only.w_value)
+
+
+@pytest.mark.parametrize("fixture", ["fsat3_built", "funsat4_built"])
+def test_lex_pieces_cut_as_one_sum(request, monkeypatch, fixture):
+    # The gadgets' prefixes (up to 27 and 28 positions) in pieces of 5: the
+    # first nonzero piece decides every cut as the one exact sum does.
+    inst, _ = request.getfixturevalue(fixture)
+    whole = _bb_search(inst, None)
+    monkeypatch.setattr(oracle_mod, "_PIECE", 5)
+    assert _bb_search(inst, None) == whole

@@ -123,6 +123,8 @@ def test_certify_script_runs_from_checkout(tmp_path):
                           text=True, cwd=tmp_path, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "certified" in proc.stdout
+    assert "cut by 21 permutations" in proc.stdout  # F_SAT3: 6 flips and 15 products
+    assert "cut by 28 permutations" in proc.stdout  # F_UNSAT4: 7 flips and 21 products
 
 
 def test_oracle_layers_script_writes_bench(tmp_path):
@@ -142,4 +144,5 @@ def test_oracle_layers_script_writes_bench(tmp_path):
         res.nodes, res.cut, res.eigensolved, res.w_value)
     assert rec["leaves"] <= rec["eigensolved_matrices"] and 0 < rec["eig_calls"]
     assert rec["reps"] == 1 and rec["wall_iqr_s"] == 0
+    assert rec["wall_min_s"] == rec["wall_median_s"]
     assert rec["us_per_node"] == pytest.approx(rec["wall_median_s"] * 1e6 / rec["nodes"])
