@@ -14,15 +14,18 @@ Entries whose sparsifier already holds more than n sampled vectors are
 dropped (size filter).  Any subset returned has been re-checked from
 scratch, so a "found" outcome is sound unconditionally; "not found" can be
 wrong only when a valid subset exists and every sampling path missed it.
+Under certified saturation (below) it cannot: "not found" is then exact.
 
 A level is stored as arrays in entry order: a bool membership matrix
-(L, m), the sparsifier sums B (L, d, d), the sample counts, the ledger
-hashes and the pruning bounds top and floor (L,).  Each level makes one
-batched gate eigensolve, one batched shifted solve for the sampling
-probabilities, one vectorised draw, only for entries with 0 < p < 1 (a draw
-cannot change a keep at p = 1), and one eigensolve for the floors that the
-parent's floor does not certify.  Every step
-is bit-identical to the per-entry path through sparsifier.observe, which
+(L, m) and the pruning bounds top and floor (L,).  Each level makes one
+batched gate eigensolve and one eigensolve for the floors that the parent's
+floor does not certify.  The sampled path also carries, per entry, the
+sparsifier sum B (L, d, d), the sample count and the ledger hash; it applies
+the size filter and makes one batched shifted solve for the sampling
+probabilities and one vectorised draw, only for entries with 0 < p < 1 (a
+draw cannot change a keep at p = 1).  A certified run keeps every entry's
+two children and holds none of those arrays.  Every step is bit-identical to
+the per-entry path through sparsifier.observe, which
 tests/reference_solver.py keeps as the reference solver.
 
 No two entries of a level ever hold the same ledger, so paths never need
@@ -75,6 +78,60 @@ lambda_min(A_U).  A certified floor, at least lo_bound + 4 eta, then leaves
 the exact lambda_min(A_U) at least lo_bound + 2 eta, and every computed value
 of it at least lo_bound + eta: the certified entry is kept exactly when an
 eigensolved floor would keep it.
+
+Certified saturation.  Let Lam = lambda_max(A_all) exactly, t its computed
+value from the root's eigensolve (|t - Lam| <= eta), lam the ridge,
+kappa = (t + eta + lam) / lam >= (Lam + lam) / lam, N = 2T and
+g = (m + 3 d + 8) u (N + d lam) / lam.  Suppose every weight so far is 1.0.
+Then an entry's sum B is the floating-point sum of the rounded v_j v_j^T,
+j in S, and A_S <= A_all <= Lam I.  The sampled path would compute p thus
+(to first order in u; the constants are rounded up to cover the rest):
+  * ||B - A_S||_2 <= gamma_m N, as in the ks2.oracle docstring.
+  * The shift delta / mu is lam (1 + theta) with |theta| <= gamma_2, and
+    adding it rounds each diagonal entry once, so the matrix factored is
+    H = A_S + lam I + E with ||E||_2 <= (m + 2) u (N + lam).
+  * dposv's solution x solves (H + dH) x = v with |dH| <=
+    gamma_{3d+1} |R^T| |R| for the computed Cholesky factor R (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.4, in
+    any summation order), and || |R^T| |R| ||_2 <= ||R||_F^2 <=
+    tr H / (1 - gamma_{d+1}) by Thm 10.3, so ||dH||_2 <= (3d + 2) u (N +
+    d lam).  Hence x = (K + F)^-1 v with K = A_S + lam I, lam I <= K <=
+    (Lam + lam) I and ||F||_2 <= g lam.  dposv also runs to completion: the
+    diagonally scaled H has smallest eigenvalue at least 1 / (2 kappa), above
+    d gamma_{d+1} / (1 - gamma_{d+1}) (Thm 10.7) once (d + 1)^2 u kappa <=
+    1/4.
+  * With w = K^-1/2 v and G = K^-1/2 F K^-1/2, ||G||_2 <= g <= 1/2 and
+    v . x = w^T (I + G)^-1 w >= (1 - 2 g) ||v||^2 / (Lam + lam): the
+    condition number (Lam + lam) / lam amplifies the rounding of H and of
+    the solve through g.
+  * The dot product adds at most gamma_d ||v|| ||x|| <= 2 gamma_d kappa
+    ||v||^2 / (Lam + lam), amplified by kappa again.
+  * p = min(b^ q, 1) for the computed budget b^ and quadratic form q is
+    1.0 exactly once b^ q >= 1, as rounding is monotone.
+saturation_margin computes r = b^ s / (t + lam) with the same b^, s the
+computed min_i ||v_i||^2 <= (1 + gamma_d) min_i ||v_i||^2, in three
+roundings, so the exact quotient is at least (1 - 4 u) r.  With
+    sigma = (d + 6) u + eta / (t + lam) + 4 g + (d + 1)(d + 5) u kappa,
+the product of the factors above, 1 / (1 - 4 u), 1 + gamma_d,
+1 + eta / (t + lam) and 1 / (1 - 2 g - 2 gamma_d kappa), is at most
+exp(sigma) <= 1 + 2 sigma for sigma <= 1/4, which also gives g <= 1/16 and
+the Cholesky condition.  The margin is r / (1 + 4 sigma), and the 2 sigma
+left over covers the rounding of sigma and of that division.  A margin of
+at least 1 thus gives b^ q >= 1: p = 1.0 exactly and the weight 1 / p is
+1.0, so the next level satisfies the hypothesis, and by induction so does
+every draw of the run.  A sample count is then |S| <= i at level i, so the
+size filter never fires while n >= m.  solve takes this certified path when
+saturation_margin is at least 1; the margin is 0 when d = 1, n < m or
+sigma > 1/4.  It keeps both children of every entry at weight 1, skipping
+the shifted solves, the draws, the ledger hashes and the size filter, none
+of which can change a result; the gate, the prune and the floor eigensolves
+are those of the sampled path, so every outcome, stats included, is that
+path's.  As no entry is ever lost to a skip or the filter, every nonempty
+subset G of {0, ..., m-1} is either gated at the level of its largest index
+or lies below an entry the completion bound dropped, which proves that no
+descendant gates.  A certified "not found" therefore shows that the gate's
+computed extremes of every A_G miss the relaxed band: up to the gate's
+eigenvalue rounding (eta), no subset satisfies eq2.
 """
 from __future__ import annotations
 
@@ -88,7 +145,7 @@ from . import prng
 from .errors import InfeasibleParameters, InternalInvariantError, ResourceExhausted
 from .instance import Instance, SubsetReport, check_subset, validate
 from .linalg import eig_extremes_stack
-from .sparsifier import fold_ledger_hashes, new_state, stack_probabilities
+from .sparsifier import budget, fold_ledger_hashes, new_state, stack_probabilities
 
 DEFAULT_LEVEL_CONSTANT = 40.0
 
@@ -100,7 +157,7 @@ class SolverParams:
     mu = epsilon/6 exactly; lam = min(c*sqrt(alpha), 1/2 - c*sqrt(alpha));
     the sparsifier delta is mu * lam, so its ridge delta/mu equals lam;
     n = ceil(C d ln(d) ln(1/lam) / mu^2), the size-filter bound.  The
-    sampling budget is sparsifier._budget(d, mu).
+    sampling budget is sparsifier.budget(d, mu).
     """
 
     c: float
@@ -162,6 +219,32 @@ def rounding_slack(inst: Instance) -> float:
     return 2 * (m + 64 * d * d + 2) * 2.0 ** -53 * (2 * float(np.sum(inst.vectors**2)) + 1)
 
 
+def saturation_margin(inst: Instance, params: SolverParams,
+                      top: Optional[float] = None) -> float:
+    """b (1 + mu) min_i ||v_i||^2 / (lambda_max(A_all) + lam) over its proven
+    rounding factor 1 + 4 sigma (Certified saturation, module docstring).
+
+    At least 1 certifies that every sampling probability of a solve is 1.0
+    and that the size filter never fires; 0 when no certificate can hold
+    (d = 1, n < m, mu^2 underflows, sigma > 1/4).  top is the computed
+    lambda_max(A_all), or None to eigensolve it here.
+    """
+    m, d = inst.vectors.shape
+    if d < 2 or params.n < m or params.mu**2 == 0:
+        return 0.0
+    if top is None:
+        top = float(eig_extremes_stack(inst.grams(np.ones((1, m), dtype=bool)))[1][0])
+    u, lam = 2.0**-53, params.lam
+    eta = rounding_slack(inst) / 2
+    kappa = (top + eta + lam) / lam
+    g = (m + 3 * d + 8) * u * (2 * float(np.sum(inst.vectors**2)) + d * lam) / lam
+    sigma = (d + 6) * u + eta / (top + lam) + 4 * g + (d + 1) * (d + 5) * u * kappa
+    if not sigma <= 0.25:
+        return 0.0
+    least = float(np.min(np.sum(inst.vectors**2, axis=1)))
+    return budget(d, params.mu) * least / (top + lam) / (1 + 4 * sigma)
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     status: str  # "found" | "not-found"
@@ -208,19 +291,21 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
     slack = rounding_slack(inst)
     tails = np.arange(m) >= np.arange(m + 1)[:, None]  # row j: the indices j, ..., m-1
 
-    root = new_state(inst.dim, params.mu, params.delta)
-    members = np.zeros((1, m), dtype=bool)
-    sums = root.b.a[None]
-    counts = np.zeros(1, dtype=np.int64)
-    hashes = np.array([root.ledger_hash], dtype=np.uint64)
-    top, floor = np.zeros(1), eig_extremes_stack(inst.grams(tails[:1]))[0]
+    root = new_state(inst.dim, params.mu, params.delta)  # checks mu and delta on either path
+    floor, top_all = eig_extremes_stack(inst.grams(tails[:1]))
+    certified = saturation_margin(inst, params, float(top_all[0])) >= 1.0
+    members, top = np.zeros((1, m), dtype=bool), np.zeros(1)
+    if not certified:  # the sampled path's sparsifier sums, sample counts and ledger hashes
+        sums, counts = root.b.a[None], np.zeros(1, dtype=np.int64)
+        hashes = np.array([root.ledger_hash], dtype=np.uint64)
     for i in range(m):
-        alive = counts <= params.n
+        alive = np.full(len(members), True) if certified else counts <= params.n
         stats.size_filtered += int(np.count_nonzero(~alive))
         live = alive & ~((top > hi_bound + slack) | (floor < lo_bound - slack))
         stats.pruned += int(np.count_nonzero(alive & ~live))
-        members, sums, counts, hashes = members[live], sums[live], counts[live], hashes[live]
-        top, floor = top[live], floor[live]
+        members, top, floor = members[live], top[live], floor[live]
+        if not certified:
+            sums, counts, hashes = sums[live], counts[live], hashes[live]
         _note_level(stats, params.max_level_size, i, len(members))
         stats.levels_processed += 1
 
@@ -237,24 +322,28 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
             return SolveOutcome("found", report.subset, report, stats)
 
         v = inst.vectors[i]
-        p = stack_probabilities(sums, root.mu, root.shift, v)
-        kept = p >= 1.0
-        part = np.flatnonzero((p > 0.0) & (p < 1.0))
-        kept[part] = prng.first_uniforms(seed, (prng.TAG_SOLVER, i), hashes[part]) <= p[part]
-        weights = 1.0 / p[kept]
+        if certified:  # p = 1.0 exactly: every entry keeps v_i at weight 1
+            kept = np.full(len(members), True)
+        else:
+            p = stack_probabilities(sums, root.mu, root.shift, v)
+            kept = p >= 1.0
+            part = np.flatnonzero((p > 0.0) & (p < 1.0))
+            kept[part] = prng.first_uniforms(seed, (prng.TAG_SOLVER, i), hashes[part]) <= p[part]
 
         # Children in entry order: a keep emits (S, old) then (S', new), a
         # skip emits (S', old); either way S' is the entry's last child.
-        parent = np.repeat(np.arange(len(p)), 1 + kept)
+        parent = np.repeat(np.arange(len(kept)), 1 + kept)
         last = np.cumsum(1 + kept) - 1
         fresh = last[kept]
-        members, sums, counts, hashes = members[parent], sums[parent], counts[parent], hashes[parent]
-        top, floor = top[parent], floor[parent]
+        members, top, floor = members[parent], top[parent], floor[parent]
         members[last, i] = True
-        sums[fresh] += weights[:, None, None] * np.outer(v, v)
-        counts[fresh] += 1
-        hashes[fresh] = fold_ledger_hashes(hashes[fresh], i, weights)
         top[last] = hi
+        if not certified:
+            weights = 1.0 / p[kept]
+            sums, counts, hashes = sums[parent], counts[parent], hashes[parent]
+            sums[fresh] += weights[:, None, None] * np.outer(v, v)
+            counts[fresh] += 1
+            hashes[fresh] = fold_ledger_hashes(hashes[fresh], i, weights)
         if i + 1 < m:  # exclude children lose v_i from U; the final level is not pruned
             out = fresh - 1
             floor[out] -= v @ v

@@ -83,7 +83,7 @@ def _check_vector(state: SparsifierState, v) -> np.ndarray:
     return v
 
 
-def _budget(d: int, mu: float) -> float:
+def budget(d: int, mu: float) -> float:
     """b (1 + mu) with b = 8 ln(d)/mu^2: p is this times the quadratic form, capped at 1."""
     if d < 2:
         raise DegenerateDimension("sampling budget b = 8 ln(d)/mu^2 vanishes for d = 1")
@@ -93,9 +93,9 @@ def _budget(d: int, mu: float) -> float:
 def sample_probability(state: SparsifierState, v) -> float:
     """min(b (1 + mu) v^T (B + (delta/mu) I)^{-1} v, 1) with b = 8 ln(d)/mu^2."""
     v = _check_vector(state, v)
-    budget = _budget(state.dim, state.mu)
+    scale = budget(state.dim, state.mu)
     quad = np.vecdot(v, spd_solve_stack(state.b.a, state.shift, v))
-    return min(budget * float(quad), 1.0)
+    return min(scale * float(quad), 1.0)
 
 
 def stack_probabilities(sums: np.ndarray, mu: float, shift: float, v: np.ndarray) -> np.ndarray:
@@ -107,7 +107,7 @@ def stack_probabilities(sums: np.ndarray, mu: float, shift: float, v: np.ndarray
     if not len(sums):
         return np.zeros(0)
     quad = np.vecdot(v, spd_solve_stack(sums, shift, v))
-    return np.minimum(_budget(sums.shape[-1], mu) * quad, 1.0)
+    return np.minimum(budget(sums.shape[-1], mu) * quad, 1.0)
 
 
 def fold_ledger_hashes(hashes: np.ndarray, idx: int, weights: np.ndarray) -> np.ndarray:

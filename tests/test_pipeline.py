@@ -146,3 +146,32 @@ def test_oracle_layers_script_writes_bench(tmp_path):
     assert rec["reps"] == 1 and rec["wall_iqr_s"] == 0
     assert rec["wall_min_s"] == rec["wall_median_s"]
     assert rec["us_per_node"] == pytest.approx(rec["wall_median_s"] * 1e6 / rec["nodes"])
+
+
+def test_solver_layers_script_times_against_a_checkout(tmp_path):
+    # --against with this checkout itself: both sides are timed in child
+    # processes, one rep each.
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "BENCH_solver.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    name = "gen_random(3, 14, seed=3), mu=1"
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "solver_layers.py"),
+                           "--reps", "1", "--against", str(root),
+                           "--instances", "gen_planted(5, 8, seed=0)", name, "--out", str(out)],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report.keys() == {"instances", "machine", "peak_rss_mb"}
+    planted, mu1 = report["instances"]["gen_planted(5, 8, seed=0)"], report["instances"][name]
+    # The certified run eigensolves its gates and floors but makes no shifted
+    # solve and no draw; the mu = 1 run samples.
+    assert planted["certified"] and planted["margin"] >= 1.0
+    assert planted["shifted_solves"] == planted["uniform_draws"] == 0
+    assert planted["gate_matrices"] > 0 and planted["floor_matrices"] >= 0
+    assert not mu1["certified"] and mu1["shifted_solves"] > 0 and mu1["uniform_draws"] > 0
+    assert mu1["shifted_solves"] <= mu1["gate_matrices"]  # none at a level that gates
+    for rec in (planted, mu1):
+        assert rec["reps"] == rec["against"]["reps"] == rec["against"]["rounds"] == 1
+        assert rec["against"]["rounds_this_faster"] in (0, 1)
+        assert rec["us_per_entry"] == pytest.approx(rec["wall_median_s"] * 1e6
+                                                    / rec["gate_matrices"])

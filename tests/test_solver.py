@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from ks2 import Instance, check_subset, gen_planted, gen_random, validate
-from ks2.errors import InfeasibleParameters, NotIsotropic, ResourceExhausted
+from ks2 import Instance, check_subset, gen_planted, gen_random, prng, sparsifier, validate
+from ks2 import solver as solver_module
+from ks2.errors import (BadParams, DegenerateDimension, InfeasibleParameters, NotIsotropic,
+                        ResourceExhausted)
 from ks2.linalg import eig_extremes_stack
-from ks2.solver import derive_params, rounding_slack, solve
+from ks2.solver import derive_params, rounding_slack, saturation_margin, solve
 
 from conftest import bound_survivors, gram_families, stress_instance
 from reference_solver import reference_solve
@@ -274,3 +276,131 @@ def test_prune_keeps_unpruned_outcome(case, request):
     assert stats.peak_level_size <= full.peak_level_size and full.pruned == 0
     if case == "random-6-16-not-found":
         assert got[0] == "not-found" and stats.pruned > 0
+
+
+# --- certified saturation ----------------------------------------------------
+
+# saturation_margin of each REFERENCE_CASES entry, as (low, high); a margin of
+# at least 1 certifies the run.  The mu = 1 cases stay below 1, d = 1 has no
+# sampling budget and n-override-0 has n < m, so those read 0.
+MARGINS = {"planted-d5-k8": (600, 630), "stress-1": (14600, 14650),
+           "power-set-1": (14600, 14650), "stress-2": (7300, 7320),
+           "power-set-2": (7300, 7320), "level-cap-4": (7300, 7320),
+           "unsaturated-mu1": (0.09, 0.11), "forced-unsaturated-mu1": (0.7, 0.8),
+           "n-override-0": (0, 0), "d1-degenerate": (0, 0)}
+
+
+@pytest.fixture
+def sampling_calls(monkeypatch):
+    """The names of the sampled path's calls, in order: the batched shifted
+    solves (stack_probabilities) and the uniform draws (first_uniforms)."""
+    calls = []
+    for owner, name in ((solver_module, "stack_probabilities"), (prng, "first_uniforms")):
+        monkeypatch.setattr(owner, name, lambda *args, real=getattr(owner, name), name=name:
+                            calls.append(name) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_reference_case_takes_its_path(case, sampling_calls):
+    build, c, epsilon, seed = REFERENCE_CASES[case]
+    inst, kwargs = build()
+    low, high = MARGINS[case]
+    margin = saturation_margin(inst, kwargs.get("params_override")
+                               or derive_params(inst, c, epsilon))
+    assert low <= margin <= high
+    try:
+        solve(inst, c, epsilon, seed, **kwargs)
+    except (DegenerateDimension, ResourceExhausted):
+        pass
+    assert (not sampling_calls) == (margin >= 1.0)
+
+
+def test_certificate_saturates_every_reference_draw(monkeypatch):
+    # The per-entry reference observes every draw through sample_probability:
+    # on the certified criterion-08 pool each reads exactly 1.0, and the
+    # certified solve gives the reference's outcome.
+    seen = []
+    real = sparsifier.sample_probability
+
+    def recording(state, v):
+        seen.append(real(state, v))
+        return seen[-1]
+
+    monkeypatch.setattr(sparsifier, "sample_probability", recording)
+    for seed in range(50):
+        inst, _ = gen_planted(5, 8, seed=seed)
+        assert saturation_margin(inst, derive_params(inst, 0.1, 0.3)) >= 1.0
+        want = reference_solve(inst, 0.1, 0.3, seed)
+        assert solve(inst, 0.1, 0.3, seed).to_dict() == want.to_dict()
+    assert seen and set(seen) == {1.0}
+
+
+def test_certified_solve_never_samples(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a certified solve sampled")
+
+    monkeypatch.setattr(solver_module, "stack_probabilities", refuse)
+    monkeypatch.setattr(solver_module, "fold_ledger_hashes", refuse)
+    monkeypatch.setattr(prng, "first_uniforms", refuse)
+    for seed in range(50):  # the criterion-08 pool
+        inst, _ = gen_planted(5, 8, seed=seed)
+        solve(inst, 0.1, 0.3, seed=seed)
+    build, c, epsilon, seed = UNPRUNED_CASES["random-6-16-not-found"]
+    assert solve(build()[0], c, epsilon, seed).status == "not-found"
+
+
+def test_margin_just_below_one_samples(sampling_calls):
+    # Bisect mu to the certificate's edge on the m = 14 mu = 1 instance (the
+    # margin falls as mu grows): just below 1 the run takes the sampled path,
+    # just above it the certified one, and both match the reference.
+    build, c, epsilon, seed = REFERENCE_CASES["forced-unsaturated-mu1"]
+    inst, _ = build()
+    base = derive_params(inst, c, epsilon)
+    lo, hi = 0.5, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if saturation_margin(inst, dataclasses.replace(base, mu=mid)) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    below, above = dataclasses.replace(base, mu=hi), dataclasses.replace(base, mu=lo)
+    assert 1.0 - 1e-12 < saturation_margin(inst, below) < 1.0 <= saturation_margin(inst, above)
+    for params, sampled in ((below, True), (above, False)):
+        del sampling_calls[:]
+        kwargs = dict(params_override=params)
+        got = _record(solve, inst, c, epsilon, seed, kwargs)
+        assert ("stack_probabilities" in sampling_calls) == sampled
+        assert got == _record(reference_solve, inst, c, epsilon, seed, kwargs)
+
+
+def test_certified_not_found_is_exact():
+    # Under the certificate every nonempty subset is gated or ruled out by
+    # the completion bound, so a not-found run means that no subset of the
+    # m = 16 instance lies in the relaxed band: all 65,536 Grams, eigensolved
+    # as the gate eigensolves them, miss it, and check_subset agrees on the
+    # twenty subsets closest to it.
+    build, c, epsilon, seed = UNPRUNED_CASES["random-6-16-not-found"]
+    inst, _ = build()
+    assert saturation_margin(inst, derive_params(inst, c, epsilon)) >= 1.0
+    assert solve(inst, c, epsilon, seed).status == "not-found"
+    m = inst.num_vectors
+    rows = (np.arange(2**m)[:, None] >> np.arange(m) & 1).astype(bool)
+    lo, hi = np.concatenate([eig_extremes_stack(inst.grams(chunk))
+                             for chunk in np.array_split(rows, 16)], axis=1)
+    ca = c * math.sqrt(inst.alpha)
+    miss = np.maximum((1 - epsilon) * (0.5 - ca) - lo, hi - (1 + epsilon) * (0.5 + ca))
+    assert np.all(miss > 0)
+    for k in np.argsort(miss)[:20]:
+        assert not check_subset(inst, np.flatnonzero(rows[k]), c, epsilon).satisfies_eq2
+
+
+def test_invalid_mu_raises_before_the_certificate():
+    # mu = 2 would certify stress-2, but the sparsifier rejects it on
+    # either path, as the reference does.
+    inst = stress_instance(2)
+    params = _with(inst, 0.1, 0.1, mu=2.0)
+    assert saturation_margin(inst, params) >= 1.0
+    for fn in (solve, reference_solve):
+        with pytest.raises(BadParams):
+            fn(inst, 0.1, 0.1, 0, params_override=params)
