@@ -16,7 +16,7 @@ from pathlib import Path
 # Import ks2 from the checkout's src/ directory, not an installed copy.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ks2.oracle import _cut_permutations, _flip_generators, branch_bound_w
+from ks2.oracle import _cut_permutations, _symmetries, branch_bound_w
 from ks2.prng import Stream, derive_key, TAG_SUBSET
 from ks2.reduction import (
     F_SAT3,
@@ -30,12 +30,14 @@ from ks2.instance import subset_distance
 
 
 def search_counts(inst, res, t0):
-    """The search's counters, the coordinates whose sign flips it cut by, and
-    how many permutations (flips and their pairwise products) it cut by."""
-    flips = [k for k, _ in _flip_generators(inst.vectors)]
+    """The search's counters, the symmetry generators it found by kind, and
+    how many permutations (the generators, their pairwise products and the
+    transpositions) it cut by."""
+    found = _symmetries(inst.vectors)
     perms = len(_cut_permutations(inst.vectors))
-    return (f"flips of coordinates {flips}, cut by {perms} permutations,"
-            f" {res.eigensolved} leaves eigensolved,"
+    return (f"{len(found['flips'])} flips, {len(found['permutations'])} signed coordinate"
+            f" permutations, {len(found['transpositions'])} equal-row transpositions,"
+            f" cut by {perms} permutations, {res.eigensolved} leaves eigensolved,"
             f" {res.nodes} nodes of which {res.cut} cut, {time.time() - t0:.1f}s")
 
 

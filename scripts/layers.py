@@ -5,8 +5,10 @@ turn: for each instance, every round runs one child per checkout, the order
 reversing from round to round, so a checkout compared against this one
 (``--against``) is timed seconds apart and under the same outside load.  A
 child puts its checkout's ``src/`` first on ``sys.path``, imports the layer
-script as a module (which then leaves ``sys.path`` alone) and prints the
-wall times of ``reps`` calls of the script's ``wall_times(name, reps)``.
+script as a module (which then leaves ``sys.path`` alone), calls one of its
+functions with JSON arguments and prints the JSON result: the wall times of
+``reps`` calls from the script's ``wall_times(name, reps)``, or whatever
+else the script asks of the other checkout.
 """
 import json
 import os
@@ -20,9 +22,18 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-CHILD = ("import importlib, json, sys; src, here, module, name, reps = sys.argv[1:]; "
+CHILD = ("import importlib, json, sys; src, here, module, call, *args = sys.argv[1:]; "
          "sys.path[:0] = [src, here]; "
-         "print(json.dumps(importlib.import_module(module).wall_times(name, int(reps))))")
+         "print(json.dumps(getattr(importlib.import_module(module), call)"
+         "(*map(json.loads, args))))")
+
+
+def child(checkout, module: str, call: str, *args):
+    """module.call(*args) run in a child process on checkout's src/."""
+    out = subprocess.run([sys.executable, "-c", CHILD, str(Path(checkout) / "src"), str(HERE),
+                          module, call, *map(json.dumps, args)],
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
 
 
 def alternate(module: str, name: str, checkouts: list, reps: int, rounds: int) -> list:
@@ -30,10 +41,7 @@ def alternate(module: str, name: str, checkouts: list, reps: int, rounds: int) -
     walls = [[] for _ in checkouts]
     for r in range(rounds):
         for side in range(len(checkouts))[::1 if r % 2 == 0 else -1]:
-            out = subprocess.run([sys.executable, "-c", CHILD, str(Path(checkouts[side]) / "src"),
-                                  str(HERE), module, name, str(reps)],
-                                 capture_output=True, text=True, check=True)
-            walls[side].append(json.loads(out.stdout))
+            walls[side].append(child(checkouts[side], module, "wall_times", name, reps))
     return walls
 
 

@@ -4,20 +4,21 @@
     python3 scripts/oracle_layers.py --reps 15 --out BENCH_oracle.json
     python3 scripts/oracle_layers.py --rounds 10 --reps 3 --against ../other-checkout
 
-For each instance (the NAE gadgets F_SAT3 and F_UNSAT4, and gen_random(5, 20)
-seeds 0 and 1) it records the search's counters (popped nodes, nodes cut by
-the flip symmetries, leaves evaluated), the matrices eigensolved and the
+For each instance (the NAE gadgets F_SAT3 and F_UNSAT4, gen_random(5, 20)
+seeds 0 and 1, and gen_planted(5, 12) seed 0, whose vectors come in equal
+pairs) it records the search's counters (popped nodes, nodes cut by the
+symmetries, leaves evaluated), the matrices eigensolved and the
 eig_extremes_stack calls (counted in one extra run), the median and
 interquartile range of the wall time over every timed run, its minimum, and
 the microseconds per popped node at the median.  The runs are timed in child
 processes, --rounds of --reps runs per instance (scripts/layers.py).  With
 --against, every round also times the other checkout's src/ on the same
 instance, alternating with this one, and the record gains that checkout's
-timings, the ratio of the medians and the rounds in which this checkout's
-median was lower: timings taken minutes apart on a shared machine compare
-the machine, not the code.  The JSON file also names the machine and the
-peak RSS of this process and its timing children.  BLAS runs on one
-thread, as in the benchmark.
+timings and counters, the ratio of the medians and the rounds in which this
+checkout's median was lower: timings taken minutes apart on a shared
+machine compare the machine, not the code.  The JSON file also names the
+machine and the peak RSS of this process and its timing children.  BLAS
+runs on one thread, as in the benchmark.
 """
 import os
 
@@ -36,7 +37,7 @@ if __name__ == "__main__":  # a timing child has already put its checkout's src/
 
 import layers
 from ks2 import oracle
-from ks2.instance import gen_random
+from ks2.instance import gen_planted, gen_random
 from ks2.reduction import F_SAT3, F_UNSAT4, ks_form_to_instance
 
 INSTANCES = {
@@ -44,6 +45,7 @@ INSTANCES = {
     "F_UNSAT4": lambda: ks_form_to_instance(F_UNSAT4)[0],
     "gen_random(5, 20, seed=0)": lambda: gen_random(5, 20, seed=0),
     "gen_random(5, 20, seed=1)": lambda: gen_random(5, 20, seed=1),
+    "gen_planted(5, 12, seed=0)": lambda: gen_planted(5, 12, seed=0)[0],
 }
 
 
@@ -75,6 +77,12 @@ def wall_times(name, reps):
     return walls
 
 
+def counts(name):
+    """The search's counters on one instance (a child on another checkout)."""
+    res = oracle.branch_bound_w(INSTANCES[name]())
+    return {"nodes": res.nodes, "cut": res.cut, "leaves": res.eigensolved}
+
+
 def measure(name, args):
     inst = INSTANCES[name]()
     res, calls, matrices = counted(inst)
@@ -88,7 +96,8 @@ def measure(name, args):
     }
     record["us_per_node"] = record["wall_median_s"] * 1e6 / res.nodes
     if args.against:
-        record["against"] = layers.compare(walls[0], walls[1], args.against)
+        record["against"] = {**layers.compare(walls[0], walls[1], args.against),
+                             **layers.child(args.against, "oracle_layers", "counts", name)}
     return record
 
 
@@ -115,7 +124,7 @@ def main(argv=None) -> int:
                 f" min {r['wall_min_s'] * 1e3:.1f}), {r['us_per_node']:.2f} us/node")
         if args.against:
             a = r["against"]
-            line += (f"; against {a['wall_median_s'] * 1e3:.1f} ms, ratio"
+            line += (f"; against {a['nodes']} nodes, {a['wall_median_s'] * 1e3:.1f} ms, ratio"
                      f" {a['median_ratio']:.3f}, faster in {a['rounds_this_faster']}"
                      f" of {a['rounds']} rounds")
         print(line)

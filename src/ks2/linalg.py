@@ -92,6 +92,16 @@ def eig_extremes_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., 0], w[..., -1]
 
 
+def rounding_eta(vectors: np.ndarray) -> float:
+    """eta = (m + 64 d^2 + 2) 2^-53 (2T + 1) of (m, d) rows, T the computed sum
+    of squares of their entries: the most by which an eigenvalue that
+    eig_extremes_stack computes for a summed subset of the rows' outer
+    products, or that value less 1/2, errs (ks2.oracle docstring, Rounding).
+    inf once 2T + 1 overflows."""
+    m, d = vectors.shape
+    return (m + 64 * d * d + 2) * 2.0 ** -53 * (2 * float(np.sum(vectors * vectors)) + 1)
+
+
 def distance_half(lo, hi):
     """||M - I/2|| = max(lambda_max - 1/2, 1/2 - lambda_min) from M's extremes, elementwise."""
     return np.maximum(hi - 0.5, 0.5 - lo)

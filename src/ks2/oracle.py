@@ -50,22 +50,25 @@ keeps that search), and so are the nodes, the cuts, the leaves, the minimum
 and its argmin.  Once 2T + 1 overflows, eta is inf: every interval but an
 exclude child's h is [-inf, inf], and every value a test reads is computed.
 
-Flip symmetry.  Let D_k be the identity with its k-th diagonal entry -1, and
-suppose D_k v_j = +-v_sigma(j) for every j, exactly, with sigma a permutation
-(_flip_generators finds every such sigma_k other than the identity, matching
-the vectors bit for bit up to sign).  Then v_sigma(j) v_sigma(j)^T = D_k v_j
-v_j^T D_k, so D_k A_S D_k = A_{sigma S} exactly; D_k is orthogonal, so
-dev(sigma S) = dev(S) exactly.  The flips generate a group G of permutations
+Symmetry.  Let Q be a signed permutation matrix, (Q v)_k = s_k v_pi(k) with
+pi a permutation of the coordinates and each s_k = +-1, and suppose
+Q v_j = +-v_sigma(j) for every j, exactly, with sigma a permutation of the
+vectors.  Permuting and negating entries is exact, so v_sigma(j) v_sigma(j)^T
+= Q v_j v_j^T Q^T and Q A_S Q^T = A_{sigma S} exactly; Q is orthogonal, so
+dev(sigma S) = dev(S) exactly.  These sigma form a group G of permutations
 that keep dev, so dev is constant on each orbit of G on subsets.  Write S as
 its membership row x in the search's order; x o g, (x o g)_j = x_g(j), is
 the row of g^-1 S.  So the lex-least row x* of an orbit (0 < 1, position 0
 most significant) satisfies x* <=_lex x* o g for every g in G, x* o g being
-the row of g^-1 S*.  The search tests every sigma_k and every product
-sigma_a o sigma_b (_cut_permutations): the D_k commute and rows are paired
-in index order, so the sigma_k commute, and a product of commuting
-involutions is an involution.  A node at depth i knows x_j for j < i, so it
-knows x and x o g on the first L_g(i) positions, the longest prefix with
-j < i and g(j) < i.  When x >_lex x o g there, no leaf below it is an
+the row of g^-1 S*, and any set of elements of G is a sound set of cuts.
+_symmetries finds generators of three kinds, matching the vectors bit for
+bit up to sign: the flips Q = D_k (the identity with its k-th diagonal entry
+-1), signed coordinate permutations, and, with Q = I, the transposition of
+two rows equal up to sign.  The search tests the flips and the signed
+permutations, every product of two of them in either order, and the
+transpositions (_cut_permutations).  A node at depth i knows x_j for j < i,
+so it knows x and x o g on the first L_g(i) positions, the longest prefix
+with j < i and g(j) < i.  When x >_lex x o g there, no leaf below it is an
 orbit's lex-least row, and the node is cut: dropped when popped, before any
 eigensolve, and counted in nodes and in cut.  A row that passed at
 L_g(i - 1) passes again until L_g grows, so g is tested only at those
@@ -77,8 +80,9 @@ every partial sum: a multiple of 2^(1-L) below 2 in magnitude, exact for
 L <= 53 in any summation order.  Longer prefixes are cut into pieces of
 _PIECE positions, weighted 2^-(j mod _PIECE), and the first nonzero piece
 gives the sign.  The cuts read membership only, so they are exact, and every
-orbit keeps its lex-least row.  On instances with no flip (none of the
-gen_random or gen_planted instances tried has one) the search is unchanged.
+orbit keeps its lex-least row.  gen_random instances have none of these
+symmetries, and the search on them is unchanged; gen_planted instances
+repeat every vector and are cut by the transpositions alone.
 
 Rounding.  Let u = 2^-53 and T the computed sum of squares of all entries, so
 N = 2T >= sum_k ||v_k||^2 >= ||A_S||_2 for every S.
@@ -122,7 +126,7 @@ import numpy as np
 
 from .errors import BadParams, TooLarge
 from .instance import Instance, subset_distance
-from .linalg import distance_half, eig_extremes_stack
+from .linalg import distance_half, eig_extremes_stack, rounding_eta
 
 DEFAULT_M_LIMIT = 24
 _BLOCK = 128  # nodes per branch-and-bound block
@@ -136,7 +140,7 @@ class OracleResult:
     subsets_examined: int
     eigensolved: int  # leaves evaluated
     nodes: int  # popped nodes, as node_limit counts them
-    cut: int  # popped nodes dropped by the flip symmetry cuts
+    cut: int  # popped nodes dropped by the symmetry cuts
     feasible_eq1: Optional[bool] = None
     c: Optional[float] = None
 
@@ -172,65 +176,179 @@ def with_threshold(inst: Instance, res: OracleResult, c: float) -> OracleResult:
     return replace(res, feasible_eq1=feasible, c=c)
 
 
-def _canonical(rows: np.ndarray) -> np.ndarray:
-    """rows up to sign: each row's first nonzero entry made positive, -0.0 made 0.0."""
-    first = np.argmax(rows != 0, axis=1)
-    sign = np.where(rows[np.arange(len(rows)), first] < 0, -1.0, 1.0)
-    return rows * sign[:, None] + 0.0
+def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rows up to sign, each with its first nonzero entry made positive and
+    -0.0 made 0.0, in lexicographic order; and the stable argsort that puts
+    them there, so that equal rows keep index order."""
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    canon = np.where(lead[:, None] < 0, -rows, rows) + 0.0
+    order = np.lexsort(canon.T[::-1])
+    return canon[order], order
 
 
-def _flip_generators(vectors: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(k, sigma_k) for every coordinate k whose sign flip D_k maps each vector
-    to +- another: D_k v_j = +-v_sigma_k(j) bit for bit, up to the sign of
-    zeros, with sigma_k an involution other than the identity.  Rows equal
-    up to sign are paired in index order.
+def _symmetries(vectors: np.ndarray) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
+    """Generators (Q, sigma) of the exact symmetries Q v_j = +-v_sigma(j) of the
+    rows, bit for bit up to the sign of zeros, with Q a signed permutation
+    matrix and sigma not the identity, by kind:
+      * "flips": Q = D_k for each coordinate k whose sign flip is a symmetry;
+      * "permutations": other signed coordinate permutations (below);
+      * "transpositions": Q = I, sigma swapping two rows equal up to sign
+        that are adjacent, in index order, among the rows equal to them.
+    Rows equal up to sign are paired in index order.
+
+    The permutations come from a stabilizer chain over the coordinates in
+    index order, deepest level first.  Level l holds the symmetries that fix
+    e_0, ..., e_l-1.  For each +-e_c that the generators so far at level l or
+    deeper do not reach from e_l, a backtrack over the coordinates after l
+    looks for one with Q e_c = +-e_l and keeps it, so no kept generator is
+    generated by those before it.  Coordinate k is mapped only from a column
+    with the same invariant, sorted |V[:, k]|, as a symmetry maps column
+    pi(k) to column k up to sign and the order of the rows; an assignment of
+    the first k coordinates is dropped once its rows up to sign are not
+    those of V's first k columns as a multiset; and a coordinate whose flip
+    D_k is a symmetry keeps its sign, as D_k Q is a symmetry exactly when Q
+    is.  With -I and the flips that are symmetries as known generators,
+    each level's orbit ends complete, and the kept generators with them
+    generate every symmetry.  When every column invariant differs, the only
+    symmetries left are sign patterns, and the chain is skipped: any subset
+    of the symmetries cuts soundly.  Which generators the chain keeps is a
+    choice: the backtrack maps a coordinate to itself first, and a level
+    tries its images from the last coordinate back.  Of the orders tried,
+    this one made the search on F_SAT3 and F_UNSAT4 pop the fewest blocks.
     """
     m, d = vectors.shape
-    canon = _canonical(vectors)
-    classes: dict[bytes, list[int]] = {}
-    for j, row in enumerate(canon):
-        classes.setdefault(row.tobytes(), []).append(j)
-    reps = canon[[members[0] for members in classes.values()]]
-    found = []
+    rows, order = _sorted_rows(vectors)
+    heads = {d: rows}  # k -> the sorted rows up to sign of V's first k columns
+
+    def matches(perm: list[int], signs: list[float]) -> Optional[np.ndarray]:
+        """For Q given on its first k = len(perm) coordinates by
+        (Q v)_i = signs_i v_perm(i): the stable order of the rows of Q V
+        there, up to sign, when they are those of V's first k columns as a
+        multiset; else None."""
+        k = len(perm)
+        if k not in heads:
+            heads[k] = _sorted_rows(vectors[:, :k])[0]
+        image, at = _sorted_rows(vectors[:, perm] * signs)
+        return at if np.array_equal(image, heads[k]) else None
+
+    def pairing(at: np.ndarray) -> np.ndarray:
+        """sigma of a whole symmetry, from the order that matches(...) gave."""
+        sigma = np.empty(m, dtype=np.intp)
+        sigma[at] = order
+        return sigma
+
+    found: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
+        "flips": [], "permutations": [], "transpositions": []}
+    ident = list(range(d))
+    known = {np.arange(m).tobytes()}
+    chain = [_signed_point_map(ident, [-1.0] * d)]  # -I, whose sigma is the identity
+    flippable = set()
     for k in range(d):
-        flipped = reps.copy()
-        flipped[:, k] = -flipped[:, k]
-        sigma = np.arange(m)
-        for members, row in zip(classes.values(), _canonical(flipped)):
-            mates = classes.get(row.tobytes(), [])
-            if len(mates) != len(members):
-                break
-            sigma[members] = mates
-        else:
+        signs = [-1.0 if i == k else 1.0 for i in ident]
+        at = matches(ident, signs)
+        if at is not None:
+            sigma = pairing(at)
+            flippable.add(k)
+            chain.append(_signed_point_map(ident, signs))
+            known.add(sigma.tobytes())
             if (sigma != np.arange(m)).any():
-                found.append((k, sigma))
+                found["flips"].append((np.diag(signs), sigma))
+    for i in np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1)):
+        sigma = np.arange(m)
+        sigma[order[[i, i + 1]]] = order[[i + 1, i]]
+        found["transpositions"].append((np.eye(d), sigma))
+    keys = [col.tobytes() for col in np.sort(np.abs(vectors), axis=0).T]
+    if len(set(keys)) == d:
+        return found
+
+    def extend(perm: list[int], signs: list[float]
+               ) -> Optional[tuple[list[int], list[float], np.ndarray]]:
+        """(perm, signs, sigma) of a symmetry whose first len(perm)
+        coordinates are these, or None."""
+        at = matches(perm, signs)
+        k = len(perm)
+        if at is None:
+            return None
+        if k == d:
+            return perm, signs, pairing(at)
+        for c in sorted(range(d), key=lambda c: c != k):
+            if keys[c] == keys[k] and c not in perm:
+                for s in (1.0,) if k in flippable else (1.0, -1.0):
+                    q = extend(perm + [c], signs + [s])
+                    if q is not None:
+                        return q
+        return None
+
+    for level in reversed(range(d)):
+        reached = _orbit(chain, level)
+        for c in reversed(range(level, d)):
+            for s in (1.0,) if level in flippable else (1.0, -1.0):
+                if keys[c] != keys[level] or 2 * c + (s < 0) in reached:
+                    continue
+                q = extend(ident[:level] + [c], [1.0] * level + [s])
+                if q is None:
+                    continue
+                perm, signs, sigma = q
+                chain.append(_signed_point_map(perm, signs))
+                reached = _orbit(chain, level)
+                if sigma.tobytes() not in known:
+                    known.add(sigma.tobytes())
+                    matrix = np.zeros((d, d))
+                    matrix[ident, perm] = signs
+                    found["permutations"].append((matrix, sigma))
     return found
 
 
+def _signed_point_map(perm: list[int], signs: list[float]) -> tuple[int, list[int]]:
+    """Q, given by (Q v)_k = signs_k v_perm(k), as a map of the signed points
+    (+e_i is 2i, -e_i is 2i + 1; Q e_perm(k) = signs_k e_k), and the number
+    of leading coordinates that it fixes."""
+    image = [0] * (2 * len(perm))
+    for k, (p, s) in enumerate(zip(perm, signs)):
+        image[2 * p], image[2 * p + 1] = (2 * k, 2 * k + 1) if s > 0 else (2 * k + 1, 2 * k)
+    fixed = next((i for i in range(len(perm)) if image[2 * i] != 2 * i), len(perm))
+    return fixed, image
+
+
+def _orbit(chain: list[tuple[int, list[int]]], level: int) -> set[int]:
+    """The signed points that the maps of chain fixing the first level
+    coordinates reach from +e_level."""
+    maps = [image for fixed, image in chain if fixed >= level]
+    reached, todo = {2 * level}, [2 * level]
+    while todo:
+        x = todo.pop()
+        for image in maps:
+            if image[x] not in reached:
+                reached.add(image[x])
+                todo.append(image[x])
+    return reached
+
+
 def _cut_permutations(vectors: np.ndarray) -> list[np.ndarray]:
-    """The permutations the lex-leader cuts test: every flip sigma_k of
-    _flip_generators and every distinct product sigma_a o sigma_b other than
-    the identity, at most G(G + 1)/2 of them for G flips."""
-    flips = [sigma for _, sigma in _flip_generators(vectors)]
-    products = [s[t] for a, s in enumerate(flips) for t in flips[:a]]
-    perms = {g.tobytes(): g for g in flips + products}
+    """The permutations the lex-leader cuts test: the sigma of every flip and
+    signed coordinate permutation of _symmetries, every product of two of
+    them in either order, and every equal-row transposition, each once and
+    the identity left out.  The transpositions are multiplied with nothing."""
+    found = _symmetries(vectors)
+    gens = [sigma for _, sigma in found["flips"] + found["permutations"]]
+    products = [s[t] for s in gens for t in gens if s is not t]
+    swaps = [sigma for _, sigma in found["transpositions"]]
+    perms = {g.tobytes(): g for g in gens + products + swaps}
     perms.pop(np.arange(len(vectors)).tobytes(), None)
     return list(perms.values())
 
 
-def _lex_weights(prefixes: list[np.ndarray], m: int) -> np.ndarray:
-    """(m, pieces, E) weights of the lex test: prefixes[e] is g[:L] for the
-    e-th permutation g, and piece q of a membership row x times column e is
-    sum (x_j - x_g(j)) 2^-(j - q _PIECE) over the prefix positions j in
-    [q _PIECE, (q + 1) _PIECE)."""
-    lengths = list(map(len, prefixes))
-    weights = np.zeros((m, -(-max(lengths) // _PIECE), len(prefixes)))
-    e = np.repeat(np.arange(len(prefixes)), lengths)
-    j = np.concatenate([np.arange(n) for n in lengths])
-    power = 2.0 ** -(j % _PIECE)
+def _lex_weights(perms: np.ndarray, lengths: np.ndarray, m: int) -> np.ndarray:
+    """(m, pieces, E) weights of the lex test of each row g = perms[e] on its
+    first L = lengths[e] positions: piece q of a membership row x times
+    column e is sum (x_j - x_g(j)) 2^-(j - q _PIECE) over the positions j < L
+    in [q _PIECE, (q + 1) _PIECE)."""
+    weights = np.zeros((m, -(-lengths.max() // _PIECE), len(perms)))
+    e, j = np.nonzero(np.arange(lengths.max()) < lengths[:, None])
+    power = (2.0 ** -np.arange(_PIECE))[j % _PIECE]
     # (j, e) pairs are distinct, and so are (g(j), e) pairs: no index repeats.
-    weights[j, j // _PIECE, e] += power
-    weights[np.concatenate(prefixes), j // _PIECE, e] -= power
+    weights[j, j // _PIECE, e] = power
+    weights[perms[e, j], j // _PIECE, e] -= power
     return weights
 
 
@@ -262,7 +380,7 @@ def _bb_search(inst: Instance, node_limit: Optional[int]
         suffix[i] = suffix[i + 1] + outers[i]
     # grow[i, c] is added to a kept node's [lower, upper] of (hi - 1/2,
     # 1/2 - lo) to give its exclude (c = 0) or include (c = 1) child's.
-    slack = 3 * (m + 64 * d * d + 2) * 2.0 ** -53 * (2 * float(np.sum(vectors * vectors)) + 1)
+    slack = 3 * rounding_eta(vectors)
     squares = (vectors * vectors).sum(axis=1)
     grow = np.empty((m, 2, 2, 2))
     grow[...] = -slack, slack
@@ -270,14 +388,20 @@ def _bb_search(inst: Instance, node_limit: Optional[int]
     grow[:, 0, 1, 1] += squares  # P + R_i+1 = P + R_i - v_i v_i^T
     grow[:, 1, 0, 1] += squares  # P + v_i v_i^T
     # lex[i] holds the lex weights of the permutations whose decided prefix,
-    # the first L positions j with j < i and g(j) < i, grows at depth i.
-    prefixes: list[list[np.ndarray]] = [[] for _ in range(m + 1)]
-    for g in _cut_permutations(vectors):
-        reach = np.maximum.accumulate(np.maximum(g, np.arange(m)))
-        decided = np.searchsorted(reach, np.arange(m + 1))
-        for i in np.flatnonzero(np.diff(decided)) + 1:
-            prefixes[i].append(g[:decided[i]])
-    lex = [_lex_weights(group, m) if group else None for group in prefixes]
+    # the first L positions j with j < i and g(j) < i, grows at depth i: to
+    # L = j + 1 at depth reach + 1 wherever reach = max(g(0), 0, ..., g(j), j)
+    # rises after position j.
+    perms = np.array(_cut_permutations(vectors), dtype=np.intp).reshape(-1, m)
+    reach = np.maximum.accumulate(np.maximum(perms, np.arange(m)), axis=1)
+    e, j = np.nonzero(np.diff(reach, axis=1, append=m))
+    order = np.argsort(reach[e, j], kind="stable")  # by depth, then permutation
+    depth = reach[e, j][order] + 1
+    lex: list[Optional[np.ndarray]] = [None] * (m + 1)
+    if len(order):
+        weights = _lex_weights(perms[e[order]], j[order] + 1, m)
+        starts = np.flatnonzero(np.diff(depth, prepend=0))
+        for a, b in zip(starts, np.append(starts[1:], len(depth))):
+            lex[depth[a]] = np.ascontiguousarray(weights[:, :, a:b])
 
     best_w, best_row = np.inf, np.zeros(m, dtype=bool)
     leaves = nodes = cut = 0
@@ -290,10 +414,11 @@ def _bb_search(inst: Instance, node_limit: Optional[int]
             raise TooLarge(f"branch-and-bound exceeded node limit {node_limit}")
         if lex[i] is not None:
             keep = ~_lex_greater(member, lex[i])
-            cut += len(p) - int(np.count_nonzero(keep))
-            p, member, bounds = p[keep], member[keep], bounds[keep]
-            if not len(p):
-                continue
+            if not keep.all():
+                cut += len(p) - int(np.count_nonzero(keep))
+                p, member, bounds = p[keep], member[keep], bounds[keep]
+                if not len(p):
+                    continue
         if i == m:
             dev = distance_half(*eig_extremes_stack(p))
             t = int(np.argmin(dev))
@@ -332,7 +457,7 @@ def branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -> OracleRe
     examined is 2^m, as every subset is evaluated, ruled out by the
     completion bound or cut as no orbit's lex-least subset; eigensolved
     counts the leaves evaluated, nodes the popped nodes, at most
-    2^(m+1) - 1, and cut the popped nodes the flip cuts dropped; node_limit
+    2^(m+1) - 1, and cut the popped nodes the symmetry cuts dropped; node_limit
     raises TooLarge when nodes would exceed it.
     """
     v = inst.vectors

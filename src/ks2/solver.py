@@ -144,7 +144,7 @@ import numpy as np
 from . import prng
 from .errors import InfeasibleParameters, InternalInvariantError, ResourceExhausted
 from .instance import Instance, SubsetReport, check_subset, validate
-from .linalg import eig_extremes_stack
+from .linalg import eig_extremes_stack, rounding_eta
 from .sparsifier import budget, fold_ledger_hashes, new_state, stack_probabilities
 
 DEFAULT_LEVEL_CONSTANT = 40.0
@@ -215,8 +215,7 @@ class SolveStats:
 def rounding_slack(inst: Instance) -> float:
     """2 eta: the most by which computed eigenvalues of the Grams of two nested
     subsets can contradict the Loewner order (module docstring)."""
-    m, d = inst.vectors.shape
-    return 2 * (m + 64 * d * d + 2) * 2.0 ** -53 * (2 * float(np.sum(inst.vectors**2)) + 1)
+    return 2 * rounding_eta(inst.vectors)
 
 
 def saturation_margin(inst: Instance, params: SolverParams,
@@ -235,7 +234,7 @@ def saturation_margin(inst: Instance, params: SolverParams,
     if top is None:
         top = float(eig_extremes_stack(inst.grams(np.ones((1, m), dtype=bool)))[1][0])
     u, lam = 2.0**-53, params.lam
-    eta = rounding_slack(inst) / 2
+    eta = rounding_eta(inst.vectors)
     kappa = (top + eta + lam) / lam
     g = (m + 3 * d + 8) * u * (2 * float(np.sum(inst.vectors**2)) + d * lam) / lam
     sigma = (d + 6) * u + eta / (top + lam) + 4 * g + (d + 1) * (d + 5) * u * kappa

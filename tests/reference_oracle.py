@@ -19,9 +19,10 @@ reference_branch_bound_w is the branch-and-bound search one node per pop,
 with two eigensolves per internal node, and the same lex-leader cuts, tested
 node by node on the chosen indices.  The tests compare the blocked search's
 minimum against it bit for bit.  Both cut by the permutations of
-ks2.oracle._cut_permutations, every coordinate flip and every product of
-two, and both return the accumulated minimum, not the from-scratch w that
-ks2.oracle reports.
+ks2.oracle._cut_permutations (the flips and signed coordinate permutations
+of ks2.oracle._symmetries, every product of two of them, and the equal-row
+transpositions), and both return the accumulated minimum, not the
+from-scratch w that ks2.oracle reports.
 """
 from __future__ import annotations
 
@@ -58,7 +59,8 @@ def _evaluated_all(w: float, subset: tuple[int, ...], m: int) -> OracleResult:
 
 def rounding_bound(vectors: np.ndarray) -> float:
     """eps of the ks2.oracle docstring: the most by which a computed completion
-    bound can exceed the computed deviation of a leaf below it."""
+    bound can exceed the computed deviation of a leaf below it.  Written out
+    here rather than taken from ks2.linalg.rounding_eta, as a second copy."""
     m, d = vectors.shape
     return 2 * (m + 64 * d * d + 2) * 2.0 ** -53 * (2 * float(np.sum(vectors * vectors)) + 1)
 
@@ -90,10 +92,10 @@ def reference_brute_force_w(inst: Instance) -> OracleResult:
 
 
 def reference_branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -> OracleResult:
-    """W by depth-first search with completion-bound pruning and flip cuts.
+    """W by depth-first search with completion-bound pruning and symmetry cuts.
 
     eigensolved counts the evaluated leaves, nodes the popped nodes and cut
-    the popped nodes the flip cuts drop.  node_limit raises TooLarge when
+    the popped nodes the symmetry cuts drop.  node_limit raises TooLarge when
     nodes would exceed it.
     """
     vectors = inst.vectors

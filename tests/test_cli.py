@@ -121,7 +121,8 @@ class TestOracle:
         assert res["w"] <= 1e-12
         assert res["examined"] == 2**8
         assert 0 < res["eigensolved"] <= res["nodes"] <= 2**9 - 1
-        assert res["cut"] == 0  # a planted instance has no flip symmetry
+        # A planted instance repeats every vector: its equal rows swap.
+        assert 0 < res["cut"] == branch_bound_w(load_instance(inst)).cut
 
     def test_oracle_feasibility_exit_codes(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -145,8 +146,8 @@ class TestOracle:
         assert abs(res["w"] - res2["w"]) <= 1e-12
 
     def test_oracle_reports_flip_cuts(self, tmp_path, capsys):
-        # Every coordinate of the NAE gadget flips; the JSON reports the cut
-        # nodes, and no "leaves" key, which the benchmark's trace sums.
+        # The NAE gadget's symmetries cut nodes; the JSON reports them, and
+        # no "leaves" key, which the benchmark's trace sums.
         inst = tmp_path / "inst.json"
         inst.write_text(instance_to_json(ks_form_to_instance(F_SAT3)[0]))
         code, res = run(capsys, "oracle", str(inst))
@@ -156,8 +157,8 @@ class TestOracle:
         assert 0 < res["cut"] == ref.cut < res["nodes"] == ref.nodes
 
     def test_oracle_reports_pairwise_cuts(self, tmp_path, capsys):
-        # F_UNSAT4 is cut by its flips and their pairwise products; the JSON
-        # counters are branch_bound_w's.
+        # F_UNSAT4 is cut by its symmetries and their pairwise products; the
+        # JSON counters are branch_bound_w's.
         inst = tmp_path / "inst.json"
         inst.write_text(instance_to_json(ks_form_to_instance(F_UNSAT4)[0]))
         code, res = run(capsys, "oracle", str(inst))

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ks2 import Instance, gen_planted, gen_random, subset_distance, validate
 from ks2 import oracle as oracle_mod
-from ks2.errors import TooLarge
+from ks2.errors import DegenerateSample, TooLarge
 from ks2.linalg import distance_half, eig_extremes_stack
 from ks2.oracle import (
     _bb_search,
     _cut_permutations,
-    _flip_generators,
+    _symmetries,
     _lex_greater,
     _lex_weights,
     branch_bound_w,
@@ -363,81 +363,158 @@ def test_completion_bound_is_sound(vectors):
         assert np.all(bound - eps <= below), float(np.max(bound - below))
 
 
-# --- coordinate-flip symmetry cuts -----------------------------------------------
+# --- symmetry cuts: flips, signed coordinate permutations, equal rows -----------
 
-def _assert_is_flip(vectors, k, sigma):
-    # sigma is an involution other than the identity, D_k v_j = +-v_sigma(j)
-    # exactly, and so outer(v_sigma(j)) = D_k outer(v_j) D_k exactly.
+def _assert_is_symmetry(vectors, q, sigma):
+    # Q is a signed permutation matrix, sigma a permutation other than the
+    # identity, Q v_j = +-v_sigma(j) exactly, and so outer(v_sigma(j)) =
+    # Q outer(v_j) Q^T exactly.
     m, d = vectors.shape
-    assert np.array_equal(sigma[sigma], np.arange(m)) and (sigma != np.arange(m)).any()
-    flipped = vectors.copy()
-    flipped[:, k] = -flipped[:, k]
+    assert np.array_equal(np.sort(sigma), np.arange(m)) and (sigma != np.arange(m)).any()
+    assert set(np.unique(q)) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(np.abs(q).sum(axis=0), np.ones(d))
+    assert np.array_equal(np.abs(q).sum(axis=1), np.ones(d))
     assert all(np.array_equal(f, vectors[t]) or np.array_equal(f, -vectors[t])
-               for f, t in zip(flipped, sigma))
+               for f, t in zip(vectors @ q.T, sigma))
     outers = vectors[:, :, None] * vectors[:, None, :]
-    signs = np.where(np.arange(d) == k, -1.0, 1.0)
-    assert np.array_equal(outers[sigma], signs[:, None] * outers * signs)
+    assert np.array_equal(outers[sigma], q @ outers @ q.T)
+
+
+def _generators(found):
+    """Every (Q, sigma) that _symmetries found, of every kind."""
+    return [pair for kind in ("flips", "permutations", "transpositions") for pair in found[kind]]
+
+
+def _flipped(q):
+    """The coordinate k of a flip Q = D_k."""
+    return int(np.flatnonzero(np.diag(q) < 0)[0])
+
+
+def _generated(perms, m):
+    """The group the permutations perms generate, as a dict by bytes."""
+    identity = np.arange(m)
+    group, todo = {identity.tobytes(): identity}, [identity]
+    while todo:
+        g = todo.pop()
+        for s in perms:
+            h = s[g]
+            if h.tobytes() not in group:
+                group[h.tobytes()] = h
+                todo.append(h)
+    return group
+
+
+NO_SYMMETRY = {"flips": [], "permutations": [], "transpositions": []}
 
 
 class TestFlipGenerators:
     @pytest.mark.parametrize("fixture, dim", [("fsat3_built", 6), ("funsat4_built", 7)])
     def test_every_gadget_coordinate_flips(self, request, fixture, dim):
         inst, _ = request.getfixturevalue(fixture)
-        flips = _flip_generators(inst.vectors)
-        assert inst.dim == dim and [k for k, _ in flips] == list(range(dim))
-        for k, sigma in flips:
-            _assert_is_flip(inst.vectors, k, sigma)
+        found = _symmetries(inst.vectors)
+        assert inst.dim == dim and [_flipped(q) for q, _ in found["flips"]] == list(range(dim))
+        for q, sigma in _generators(found):
+            _assert_is_symmetry(inst.vectors, q, sigma)
+
+    @pytest.mark.parametrize("fixture, order", [("fsat3_built", 6 * 32), ("funsat4_built", 24 * 64)])
+    def test_gadget_generators_give_the_whole_group(self, request, fixture, order):
+        # The clause permutations (S3 and S4) act as signed coordinate
+        # permutations, each with every flip pattern, and -I fixes every
+        # vector up to sign: 6 * 2^6 / 2 and 24 * 2^7 / 2 permutations of the
+        # vectors.  The chain keeps two and three generators of them.
+        inst, _ = request.getfixturevalue(fixture)
+        found = _symmetries(inst.vectors)
+        assert len(found["permutations"]) == (2 if fixture == "fsat3_built" else 3)
+        gens = [sigma for _, sigma in found["flips"] + found["permutations"]]
+        assert len(_generated(gens, inst.num_vectors)) == order
 
     def test_random_and_planted_have_none(self):
+        # Random instances have no symmetry at all.  gen_planted emits every
+        # vector twice, adjacent, and has only the transpositions of the pairs.
         for s in range(20):
-            assert _flip_generators(gen_random(2 + s % 4, 8 + s % 7, seed=s).vectors) == []
-            assert _flip_generators(gen_planted(2 + s % 4, 4 + s % 4, s)[0].vectors) == []
+            assert _symmetries(gen_random(2 + s % 4, 8 + s % 7, seed=s).vectors) == NO_SYMMETRY
+            k = 4 + s % 4
+            vectors = gen_planted(2 + s % 4, k, s)[0].vectors
+            found = _symmetries(vectors)
+            assert found["flips"] == found["permutations"] == []
+            pairs = sorted(tuple(np.flatnonzero(sigma != np.arange(2 * k)).tolist())
+                           for _, sigma in found["transpositions"])
+            assert pairs == [(2 * j, 2 * j + 1) for j in range(k)]
+            for q, sigma in found["transpositions"]:
+                assert np.array_equal(q, np.eye(vectors.shape[1]))
+                _assert_is_symmetry(vectors, q, sigma)
+            assert len(_cut_permutations(vectors)) == k
 
     def test_duplicate_zero_and_permuted_rows(self, axis_pairs_d3):
         a, b = 0.6, 0.8
         rows = np.array([[a, b], [a, -b], [0.0, 0.0], [-a, -b], [a, -b], [0.0, -0.0]])
-        flips = _flip_generators(rows)
-        assert [k for k, _ in flips] == [0, 1]
-        for k, sigma in flips:
+        found = _symmetries(rows)
+        assert [_flipped(q) for q, _ in found["flips"]] == [0, 1]
+        for _, sigma in found["flips"]:
             # Equal rows (up to sign) pair in index order; zero rows stay put.
             assert sigma.tolist() == [1, 0, 2, 4, 3, 5]
+        # One transposition per pair of rows equal up to sign, zero rows too.
+        assert sorted(sigma.tolist() for _, sigma in found["transpositions"]) == [
+            [0, 1, 5, 3, 4, 2], [0, 4, 2, 3, 1, 5], [3, 1, 2, 0, 4, 5]]
+        assert found["permutations"] == []  # |V[:, 0]| and |V[:, 1]| differ
         perm = np.array([3, 5, 0, 2, 1, 4])
-        permuted = _flip_generators(rows[perm])
-        assert [k for k, _ in permuted] == [0, 1]
-        for k, sigma in permuted:
-            _assert_is_flip(rows[perm], k, sigma)
-        # Unmatched duplicate counts: no flip maps the rows onto themselves.
-        assert _flip_generators(np.array([[a, b], [a, b], [a, -b]])) == []
-        # Each axis vector is its own flip up to sign: sigma would be the identity.
-        assert _flip_generators(axis_pairs_d3.vectors) == []
+        permuted = _symmetries(rows[perm])
+        assert [_flipped(q) for q, _ in permuted["flips"]] == [0, 1]
+        for q, sigma in _generators(permuted):
+            _assert_is_symmetry(rows[perm], q, sigma)
+        # Unmatched duplicate counts: no flip maps the rows onto themselves,
+        # but the two equal rows swap.
+        found = _symmetries(np.array([[a, b], [a, b], [a, -b]]))
+        assert found["flips"] == found["permutations"] == []
+        assert [sigma.tolist() for _, sigma in found["transpositions"]] == [[1, 0, 2]]
+        # Each axis vector is its own flip up to sign: sigma would be the
+        # identity.  The axes permute, though, and each pair swaps.
+        found = _symmetries(axis_pairs_d3.vectors)
+        assert found["flips"] == [] and len(found["permutations"]) == 2
+        assert len(found["transpositions"]) == 3
+        for q, sigma in _generators(found):
+            _assert_is_symmetry(axis_pairs_d3.vectors, q, sigma)
 
-    @pytest.mark.parametrize("fixture, count", [("fsat3_built", 6 + 15), ("funsat4_built", 7 + 21)])
+    @pytest.mark.parametrize("fixture, count", [("fsat3_built", 43), ("funsat4_built", 58)])
     def test_cut_permutations_are_flip_products(self, request, fixture, count):
-        # Every flip and every product of two: commuting involutions, each an
-        # exact symmetry D A_S D = A_{g S} for D the product of the flips' D_k.
+        # The flips and signed permutations, every product of two of them in
+        # either order, and the transpositions: each an exact symmetry
+        # Q A_S Q^T = A_{g S}, Q the product of its factors' matrices.
         inst, _ = request.getfixturevalue(fixture)
-        m, d = inst.vectors.shape
+        m = inst.num_vectors
         outers = inst.vectors[:, :, None] * inst.vectors[:, None, :]
-        flips = _flip_generators(inst.vectors)
-        signs = {}
-        for a, (k, s) in enumerate(flips):
-            signs[s.tobytes()] = np.where(np.arange(d) == k, -1.0, 1.0)
-            for l, t in flips[:a]:
-                assert np.array_equal(s[t], t[s])
-                signs[s[t].tobytes()] = np.where(np.isin(np.arange(d), [k, l]), -1.0, 1.0)
+        found = _symmetries(inst.vectors)
+        gens = found["flips"] + found["permutations"]
+        matrices = {sigma.tobytes(): q for q, sigma in gens + found["transpositions"]}
+        for q, s in gens:
+            for r, t in gens:
+                matrices.setdefault(s[t].tobytes(), q @ r)
         perms = _cut_permutations(inst.vectors)
         assert len({g.tobytes() for g in perms}) == len(perms) == count
         for g in perms:
-            assert np.array_equal(g[g], np.arange(m)) and (g != np.arange(m)).any()
-            sign = signs[g.tobytes()]
-            assert np.array_equal(outers[g], sign[:, None] * outers * sign)
+            assert (g != np.arange(m)).any()
+            q = matrices[g.tobytes()]
+            assert np.array_equal(outers[g], q @ outers @ q.T)
 
     def test_cut_permutations_drop_identity_and_repeats(self):
         # Two coordinates with the same sigma: their product is the identity
-        # and each sigma is listed once.
+        # and each sigma is listed once.  Swapping the coordinates fixes
+        # both vectors up to sign, so it is no generator.
         rows = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        assert [(k, g.tolist()) for k, g in _flip_generators(rows)] == [(0, [1, 0]), (1, [1, 0])]
+        found = _symmetries(rows)
+        assert [(_flipped(q), g.tolist()) for q, g in found["flips"]] == [(0, [1, 0]), (1, [1, 0])]
+        assert found["permutations"] == found["transpositions"] == []
         assert [g.tolist() for g in _cut_permutations(rows)] == [[1, 0]]
+
+
+def _random_rows(draw, d, r):
+    """gen_random(d, r) rows for a drawn seed.  A draw whose whitening misses
+    the isotropy tolerance (DegenerateSample, as for gen_random(3, 3, seed=385))
+    is rejected: these strategies test the cuts, not the generator."""
+    try:
+        return gen_random(d, r, seed=draw(st.integers(0, 2**16))).vectors
+    except DegenerateSample:
+        reject()
 
 
 @st.composite
@@ -448,7 +525,7 @@ def flip_closed_families(draw):
     most = min(d, (16 // d).bit_length() - 1)  # the largest |K| with d <= 16 / 2^|K|
     flips = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=most, unique=True))
     r = draw(st.integers(d, 16 >> len(flips)))
-    rows = gen_random(d, r, seed=draw(st.integers(0, 2**16))).vectors
+    rows = _random_rows(draw, d, r)
     for k in flips:
         flipped = rows.copy()
         flipped[:, k] = -flipped[:, k]
@@ -462,11 +539,78 @@ def test_flip_cuts_match_unfiltered_table(case):
     # The cuts keep every orbit's lex-leader, so w stays within the rounding
     # bound of the pass that evaluates every subset.
     inst, flips = case
-    found = _flip_generators(inst.vectors)
-    assert set(flips) <= {k for k, _ in found}
-    for k, sigma in found:
-        _assert_is_flip(inst.vectors, k, sigma)
+    found = _symmetries(inst.vectors)
+    assert set(flips) <= {_flipped(q) for q, _ in found["flips"]}
+    for q, sigma in _generators(found):
+        _assert_is_symmetry(inst.vectors, q, sigma)
     _assert_matches_table(inst, branch_bound_w(inst), reference_table_w(inst))
+
+
+@st.composite
+def signed_cycle_families(draw):
+    """gen_random(d, r) rows closed under a drawn signed cycle Q of 2 or 3
+    coordinates: the rows Q^t V for t below Q's order (2, 3 or 4), scaled by
+    order^-1/2 to stay isotropic; m = r order <= 16.  A 3-cycle takes an even
+    number of minus signs, as its order would otherwise be 6."""
+    c = draw(st.integers(2, 3))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=c, max_size=c))
+    if c == 3:
+        signs[2] = signs[0] * signs[1]
+    order = c if np.prod(signs) > 0 else 2 * c
+    d = draw(st.integers(c, min(5, 16 // order)))
+    cycle = draw(st.permutations(range(d)))[:c]
+    q = np.eye(d)
+    q[:, cycle] = 0.0
+    for i in range(c):  # Q e_cycle[i] = signs[i] e_cycle[i+1]
+        q[cycle[(i + 1) % c], cycle[i]] = signs[i]
+    rows = _random_rows(draw, d, draw(st.integers(d, 16 // order)))
+    family = [rows]
+    for _ in range(order - 1):
+        family.append(family[-1] @ q.T)
+    return Instance(np.concatenate(family) * order ** -0.5), q, order
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(signed_cycle_families())
+def test_signed_permutation_cuts_match_unfiltered_table(case):
+    # Every generator found is an exact symmetry; together they generate the
+    # drawn one, whose sigma moves each row block to the next; and the cuts
+    # decide as the eager search and keep w within the rounding bound of
+    # the pass that evaluates every subset.
+    inst, q, order = case
+    m = inst.num_vectors
+    found = _symmetries(inst.vectors)
+    for r, sigma in _generators(found):
+        _assert_is_symmetry(inst.vectors, r, sigma)
+    drawn = (np.arange(m) + m // order) % m
+    _assert_is_symmetry(inst.vectors, q, drawn)
+    gens = [sigma for _, sigma in found["flips"] + found["permutations"]]
+    assert drawn.tobytes() in _generated(gens, m)
+    assert _bb_search(inst, None) == reference_eager_search(inst, None)
+    _assert_matches_table(inst, branch_bound_w(inst), reference_table_w(inst))
+
+
+@pytest.mark.parametrize("d, k", [(d, k) for d in range(1, 6) for k in (4, 6, 8) if k >= d])
+def test_transposition_cuts_keep_planted_w(monkeypatch, d, k):
+    # gen_planted repeats every vector, so the transpositions cut, and the
+    # search pops fewer nodes with them; w stays within the rounding bound
+    # of the pass that evaluates every subset (m = 2k <= 16).
+    inst, _ = gen_planted(d, k, seed=20 + d)
+    res = branch_bound_w(inst)
+    _assert_matches_table(inst, res, reference_table_w(inst))
+    monkeypatch.setattr(oracle_mod, "_symmetries", lambda vectors: NO_SYMMETRY)
+    assert 0 < res.cut and res.nodes < branch_bound_w(inst).nodes
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_planted_m40_finishes_under_default_node_limit(seed):
+    # gen_planted(5, 20), m = 40: uncut, the search passes 3 million nodes;
+    # the transpositions bring it to about 112,000 and 59,000.
+    inst, planted = gen_planted(5, 20, seed)
+    res = branch_bound_w(inst, node_limit=2 ** (oracle_mod.DEFAULT_M_LIMIT + 1) - 1)
+    assert res.nodes < 2 ** 17 and 0 < res.cut < res.nodes
+    assert res.w_value <= 1e-12 and res.w_value == subset_distance(inst, res.argmin_subset)
+    assert subset_distance(inst, planted) <= 1e-12
 
 
 def _involution(rng, n):
@@ -497,7 +641,9 @@ def test_lex_test_matches_python_compare(width):
     rows[20:] = tied
     expected = [any(x[:len(p)] > [x[j] for j in p] for p in prefixes) for x in rows.tolist()]
     assert expected.count(True) not in (0, len(rows))
-    assert _lex_greater(rows, _lex_weights(prefixes, width + 1)).tolist() == expected
+    lengths = np.array(list(map(len, prefixes)))
+    weights = _lex_weights(np.array(perms + [last]), lengths, width + 1)
+    assert _lex_greater(rows, weights).tolist() == expected
 
 
 @pytest.mark.parametrize("fixture", ["fsat3_built", "funsat4_built"])
@@ -509,7 +655,7 @@ def test_flip_cuts_keep_uncut_w(request, monkeypatch, fixture):
     assert branch_bound_w(inst, node_limit=res.nodes) == res
     with pytest.raises(TooLarge):
         branch_bound_w(inst, node_limit=res.nodes - 1)
-    monkeypatch.setattr(oracle_mod, "_flip_generators", lambda vectors: [])
+    monkeypatch.setattr(oracle_mod, "_symmetries", lambda vectors: NO_SYMMETRY)
     uncut = branch_bound_w(inst)
     assert uncut.cut == 0 and uncut.nodes > res.nodes
     assert abs(res.w_value - uncut.w_value) <= 3 * rounding_bound(inst.vectors), (
@@ -526,11 +672,11 @@ def test_interval_bounds_decide_as_eager_search_with_flips(case):
 
 
 def test_pairwise_cuts_pop_fewer_nodes(monkeypatch, funsat4_built):
-    # Products of two flips cut nodes no single flip cuts, and keep w.
+    # Products of two generators cut nodes no single generator cuts, and keep w.
     inst, _ = funsat4_built
     res = branch_bound_w(inst)
-    monkeypatch.setattr(oracle_mod, "_cut_permutations",
-                        lambda vectors: [sigma for _, sigma in _flip_generators(vectors)])
+    monkeypatch.setattr(oracle_mod, "_cut_permutations", lambda vectors: [
+        sigma for kind in ("flips", "permutations") for _, sigma in _symmetries(vectors)[kind]])
     generators_only = branch_bound_w(inst)
     assert generators_only.nodes > res.nodes
     assert abs(res.w_value - generators_only.w_value) <= 3 * rounding_bound(inst.vectors), (

@@ -123,17 +123,24 @@ def test_certify_script_runs_from_checkout(tmp_path):
                           text=True, cwd=tmp_path, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "certified" in proc.stdout
-    assert "cut by 21 permutations" in proc.stdout  # F_SAT3: 6 flips and 15 products
-    assert "cut by 28 permutations" in proc.stdout  # F_UNSAT4: 7 flips and 21 products
+    # F_SAT3: 8 generators, 15 products of two flips, 12 of a flip and a
+    # permutation, 2 of two permutations, and 6 transpositions.
+    assert ("6 flips, 2 signed coordinate permutations, 6 equal-row transpositions,"
+            " cut by 43 permutations") in proc.stdout
+    # F_UNSAT4: 10 generators, and 21, 21 and 6 products of the three kinds.
+    assert ("7 flips, 3 signed coordinate permutations, 0 equal-row transpositions,"
+            " cut by 58 permutations") in proc.stdout
 
 
 def test_oracle_layers_script_writes_bench(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "oracle_layers.py"
+    # --against this checkout itself: the other side's counters are its own.
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "oracle_layers.py"
     out = tmp_path / "BENCH_oracle.json"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, str(script), "--reps", "1", "--instances", "F_SAT3",
-                           "--out", str(out)], capture_output=True, text=True, cwd=tmp_path,
-                          env=env, timeout=300)
+                           "--against", str(root), "--out", str(out)],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert report.keys() == {"instances", "machine", "peak_rss_mb"}
@@ -143,6 +150,8 @@ def test_oracle_layers_script_writes_bench(tmp_path):
     assert (rec["nodes"], rec["cut"], rec["leaves"], rec["w"]) == (
         res.nodes, res.cut, res.eigensolved, res.w_value)
     assert rec["leaves"] <= rec["eigensolved_matrices"] and 0 < rec["eig_calls"]
+    assert (rec["against"]["nodes"], rec["against"]["cut"], rec["against"]["leaves"]) == (
+        rec["nodes"], rec["cut"], rec["leaves"])
     assert rec["reps"] == 1 and rec["wall_iqr_s"] == 0
     assert rec["wall_min_s"] == rec["wall_median_s"]
     assert rec["us_per_node"] == pytest.approx(rec["wall_median_s"] * 1e6 / rec["nodes"])
