@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Cost of one level entry of the solver: counts and wall times of solve.
+"""Cost of one search node of the solver: counts and wall times of solve.
 
     python3 scripts/solver_layers.py --reps 15 --out BENCH_solver.json
     python3 scripts/solver_layers.py --rounds 10 --reps 5 --against ../other-checkout
@@ -7,11 +7,11 @@
 For each instance (the four planted d=5, m=16 instances of the benchmark's
 solve-planted workload, and the mu = 1 instance whose sampling probabilities
 fall below 1) it records the saturation margin and whether it certifies the
-run, the outcome's levels, peak level and pruned entries, the matrices the
-gate and the floors eigensolved, the shifted solves and uniform draws of the
-sampled path (all counted in one extra run), the median, interquartile range
-and minimum of the wall time over every timed run, and the microseconds per
-gated entry at the median.  Runs are timed in child processes as in
+run, the outcome's searches (levels), most nodes one search gated, popped
+and pruned nodes, the matrices the gate and the prune eigensolved, the
+shifted solves and uniform draws of the sampled path (all counted in one
+extra run), the median, interquartile range and minimum of the wall time
+over every timed run, and the microseconds per popped node at the median.  Runs are timed in child processes as in
 oracle_layers.py (scripts/layers.py), and --against times another
 checkout's src/ alternately with this one.  The JSON file also names the
 machine and the peak RSS of this process and its timing children.  BLAS
@@ -35,7 +35,7 @@ if __name__ == "__main__":  # a timing child has already put its checkout's src/
 
 import layers
 from ks2 import prng, solver
-from ks2.instance import gen_planted, gen_random
+from ks2.instance import Instance, gen_planted, gen_random
 
 
 def _planted(seed):
@@ -60,19 +60,22 @@ def _run(name):
 
 
 def counted(name):
-    """One solve with its eigensolves, level sizes, shifted solves and draws counted."""
-    eig, levels, solves, draws = [], [], [], []
-    real = {"eig_extremes_stack": solver.eig_extremes_stack, "_note_level": solver._note_level,
+    """One solve with its eigensolves, shifted solves and draws counted.
+
+    An eigensolve of a stack that Instance.grams made is the gate's, or the
+    saturation margin's one matrix; every other is the prune's."""
+    eig, solves, draws, made = [], [], [], [None]
+    real = {"eig_extremes_stack": solver.eig_extremes_stack,
             "stack_probabilities": solver.stack_probabilities}
-    real_draw = prng.first_uniforms
+    real_grams, real_draw = Instance.grams, prng.first_uniforms
+
+    def grams_kept(inst, members):
+        made[0] = real_grams(inst, members)
+        return made[0]
 
     def eig_counted(stack):
-        eig.append(len(stack))
+        eig.append((len(stack), stack is made[0]))
         return real["eig_extremes_stack"](stack)
-
-    def level_counted(stats, cap, level, size):
-        levels.append(size)
-        return real["_note_level"](stats, cap, level, size)
 
     def solves_counted(sums, *args):
         solves.append(len(sums))
@@ -82,18 +85,17 @@ def counted(name):
         draws.append(len(last))
         return real_draw(seed, path, last)
 
-    for attr, fn in (("eig_extremes_stack", eig_counted), ("_note_level", level_counted),
-                     ("stack_probabilities", solves_counted)):
+    for attr, fn in (("eig_extremes_stack", eig_counted), ("stack_probabilities", solves_counted)):
         setattr(solver, attr, fn)
-    prng.first_uniforms = draws_counted
+    Instance.grams, prng.first_uniforms = grams_kept, draws_counted
     try:
         out = _run(name)
     finally:
         for attr, fn in real.items():
             setattr(solver, attr, fn)
-        prng.first_uniforms = real_draw
-    gated = sum(levels[:out.stats.levels_processed])
-    return out, {"gate_matrices": gated, "floor_matrices": sum(eig) - gated - 1,
+        Instance.grams, prng.first_uniforms = real_grams, real_draw
+    gated = sum(n for n, gram in eig if gram) - 1
+    return out, {"gate_matrices": gated, "prune_matrices": sum(n for n, gram in eig if not gram),
                  "eig_calls": len(eig), "shifted_solves": sum(solves),
                  "uniform_draws": sum(draws)}
 
@@ -117,10 +119,10 @@ def measure(name, args):
     record = {
         "m": inst.num_vectors, "d": inst.dim, "margin": margin, "certified": margin >= 1.0,
         "status": out.status, "levels": out.stats.levels_processed,
-        "peak_level": out.stats.peak_level_size, "pruned": out.stats.pruned,
-        **counts, **layers.summary(walls[0]),
+        "peak_level": out.stats.peak_level_size, "nodes": out.stats.nodes,
+        "pruned": out.stats.pruned, **counts, **layers.summary(walls[0]),
     }
-    record["us_per_entry"] = record["wall_median_s"] * 1e6 / counts["gate_matrices"]
+    record["us_per_node"] = record["wall_median_s"] * 1e6 / out.stats.nodes
     if args.against:
         record["against"] = layers.compare(walls[0], walls[1], args.against)
     return record
@@ -144,12 +146,12 @@ def main(argv=None) -> int:
     for name in args.instances:
         records[name] = r = measure(name, args)
         line = (f"{name}: margin {r['margin']:.3g} ({'certified' if r['certified'] else 'sampled'}),"
-                f" {r['status']} after {r['levels']} levels (peak {r['peak_level']},"
-                f" pruned {r['pruned']}), {r['gate_matrices']} gate + {r['floor_matrices']}"
-                f" floor matrices, {r['shifted_solves']} shifted solves,"
+                f" {r['status']} after {r['levels']} searches (peak {r['peak_level']} gated,"
+                f" {r['nodes']} nodes, pruned {r['pruned']}), {r['gate_matrices']} gate +"
+                f" {r['prune_matrices']} prune matrices, {r['shifted_solves']} shifted solves,"
                 f" {r['uniform_draws']} draws, {r['wall_median_s'] * 1e3:.2f} ms"
                 f" (IQR {r['wall_iqr_s'] * 1e3:.2f}, min {r['wall_min_s'] * 1e3:.2f}),"
-                f" {r['us_per_entry']:.1f} us/entry")
+                f" {r['us_per_node']:.1f} us/node")
         if args.against:
             a = r["against"]
             line += (f"; against {a['wall_median_s'] * 1e3:.2f} ms, ratio"

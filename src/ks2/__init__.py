@@ -1,9 +1,10 @@
 """Toolkit for the algorithmic Kadison-Singer subset problem (KS2).
 
 Provides: an isotropic-instance data model with generators and file I/O; a
-randomised level-set solver backed by online spectral sparsifiers; an exact
-branch-and-bound discrepancy oracle; and the NAE-3SAT reduction pipeline that
-builds hard vector instances with verifiable certificates.
+randomised level-set solver, walked depth first, backed by online spectral
+sparsifiers; an exact branch-and-bound discrepancy oracle; and the NAE-3SAT
+reduction pipeline that builds hard vector instances with verifiable
+certificates.
 """
 
 from .errors import KsError

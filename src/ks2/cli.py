@@ -9,7 +9,6 @@ I/O error, 3 internal error (a failed invariant or any other crash, with
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -17,7 +16,7 @@ import traceback
 
 from . import oracle as oracle_mod
 from . import reduction, solver
-from .errors import InternalInvariantError, KsError, ResourceExhausted, TooLarge
+from .errors import InternalInvariantError, KsError, TooLarge
 from .instance import (
     gen_planted,
     gen_random,
@@ -77,10 +76,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load_validated(args.instance, args.iso_tol)
-    params = dataclasses.replace(
-        solver.derive_params(inst, args.c, args.epsilon, level_constant=args.C),
-        max_level_size=args.max_level_size)
-    outcome = solver.solve(inst, args.c, args.epsilon, args.seed, params_override=params)
+    params = solver.derive_params(inst, args.c, args.epsilon, level_constant=args.C)
+    outcome = solver.solve(inst, args.c, args.epsilon, args.seed, params_override=params,
+                           node_limit=args.node_limit)
     if outcome.found and args.subset_out:
         save_subset(outcome.subset, args.subset_out)
     _emit(outcome.to_dict())
@@ -195,15 +193,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--planted-out")
     g.set_defaults(func=_cmd_gen)
 
-    s = sub.add_parser("solve", help="run the level-set search")
+    s = sub.add_parser("solve", help="run the depth-first search")
     s.add_argument("instance")
     s.add_argument("--c", type=float, required=True)
     s.add_argument("--epsilon", type=float, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--C", type=float, default=solver.DEFAULT_LEVEL_CONSTANT,
                    help="constant in the sparsifier size bound n")
-    s.add_argument("--max-level-size", type=int,
-                   help="fail when a level holds more entries after the size filter and the prune")
+    s.add_argument("--node-limit", type=int,
+                   help="stop after this many popped nodes (default: no limit)")
     s.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
     s.add_argument("--subset-out")
     s.set_defaults(func=_cmd_solve)
@@ -267,11 +265,6 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         _emit({"error": "too-large", "message": str(exc)})
-        return EXIT_USAGE
-    except ResourceExhausted as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        if exc.stats is not None:
-            _emit({"error": "resource-exhausted", "stats": exc.stats.to_dict()})
         return EXIT_USAGE
     except (KsError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -64,18 +64,10 @@ class InfeasibleParameters(KsError):
     """c*sqrt(alpha) >= 1/2: the target band touches 0 or 1."""
 
 
-class ResourceExhausted(KsError):
-    """A level set outgrew the configured cap.  Carries run statistics."""
-
-    def __init__(self, message, stats=None):
-        self.stats = stats
-        super().__init__(message)
-
-
-# --- oracle -----------------------------------------------------------------
+# --- search limits ----------------------------------------------------------
 
 class TooLarge(KsError):
-    """Enumeration size exceeds the configured limit."""
+    """A search or enumeration exceeds its configured size limit."""
 
 
 # --- reduction --------------------------------------------------------------

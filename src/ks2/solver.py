@@ -1,32 +1,44 @@
-"""Randomised level-set search for a subset within the epsilon-relaxed band.
+"""Randomised depth-first search for a subset within the epsilon-relaxed band.
 
-The search expands level sets L_0, L_1, ..., L_m.  Each entry of a level is
-a pair (representative subset S, sparsifier state B).  Processing vector i
-against an entry first gates S' = S + {i} directly on the eigenvalues of
-A_{S'} (exact comparison, zero slack); if the gate fails, the entry's
-sparsifier observes v_i with a deterministic per-path uniform draw, and the
-children are inserted into the next level:
+The paper grows level sets L_0, ..., L_m.  An entry of L_k is a pair
+(representative subset S of {0, ..., k-1}, sparsifier state B).  Level i
+gates S' = S + {i} of each entry directly on the eigenvalues of A_{S'}
+(exact comparison, zero slack); if the gate fails, the entry's sparsifier
+observes v_i with a deterministic per-path uniform draw, and its children
+enter the next level:
 
   - on a keep:   both (S, old state) and (S', new state);
   - on a skip:   only (S', old state).
 
 Entries whose sparsifier already holds more than n sampled vectors are
-dropped (size filter).  Any subset returned has been re-checked from
-scratch, so a "found" outcome is sound unconditionally; "not found" can be
-wrong only when a valid subset exists and every sampling path missed it.
-Under certified saturation (below) it cannot: "not found" is then exact.
+dropped (size filter).  The answer is the first gate hit of the shallowest
+level that has one.  Any subset returned has been re-checked from scratch,
+so a "found" outcome is sound unconditionally; "not found" can be wrong
+only when a valid subset exists and every sampling path missed it.  Under
+certified saturation (below) it cannot: "not found" is then exact.
 
-A level is stored as arrays in entry order: a bool membership matrix
-(L, m) and the pruning bounds top and floor (L,).  Each level makes one
-batched gate eigensolve and one eigensolve for the floors that the parent's
-floor does not certify.  The sampled path also carries, per entry, the
-sparsifier sum B (L, d, d), the sample count and the ledger hash; it applies
-the size filter and makes one batched shifted solve for the sampling
-probabilities and one vectorised draw, only for entries with 0 < p < 1 (a
-draw cannot change a keep at p = 1).  A certified run keeps every entry's
-two children and holds none of those arrays.  Every step is bit-identical to
-the per-entry path through sparsifier.observe, which
-tests/reference_solver.py keeps as the reference solver.
+The levels form a tree whose nodes at depth k are the entries of L_k.  A
+child depends only on its parent, v_k and the draw keyed by (seed, k,
+ledger hash), so the tree does not depend on the order of the walk, and as
+a keep lists the exclude child (S) first, each level lists its entries in
+lex order of their membership rows (position 0 most significant).  solve
+holds no level: search i, for i = 0, 1, ..., m-1, walks the tree to depth
+i depth first, excluding first, gates each depth-i node S as S + {i} by
+the gate's own call eig_extremes_stack(inst.grams(rows)), and stops at the
+first hit, the lex-least of the shallowest level.  It pops blocks of up to
+_BLOCK nodes of one depth, held as arrays: membership rows, partial sums P
+(the rounded v_j v_j^T over S, one added per include child) and, on the
+sampled path, the sparsifier sum B, the sample count and the ledger hash.
+A popped block is size-filtered, and one above depth i is pruned (below)
+and expanded, with one batched shifted solve and one vectorised draw for
+the nodes with 0 < p < 1 (a draw cannot change a keep at p = 1).  Each
+parent's two children stay adjacent, exclude child first, cut into blocks
+pushed so that the first pops first: blocks pop in lex order, and the
+stack holds about 2 m of them.  Every step is bit-identical to the
+per-entry path through sparsifier.observe, which tests/reference_solver.py
+keeps as the reference solver.  With collect_subsets, one more search with
+no forced vector (v_m = 0) walks to depth m, where nodes are neither
+filtered nor pruned: its depth-m nodes are the final level, final_subsets.
 
 No two entries of a level ever hold the same ledger, so paths never need
 merging.  By induction: L_0 holds one ledger; each entry passes its ledger
@@ -35,55 +47,36 @@ only kind of ledger that contains index i, distinct for distinct L_j; the
 size filter only removes entries.  SolveStats.dedup_hits is kept in the
 output and always reads 0.
 
-Completion-bound pruning.  At the top of level i, right after the size
-filter, an entry is dropped when no descendant can pass the gate; the drops
-are counted in SolveStats.pruned.  Every set that the entry or a descendant
-gates is some G with S < G <= U = S + {i, ..., m-1}, so A_S <= A_G <= A_U in
-the Loewner order, and lambda_max(A_G) >= lambda_max(A_S) and
-lambda_min(A_G) <= lambda_min(A_U) hold exactly.  Each entry carries
-    top = lambda_max(A_S): 0 at the root; an exclude child keeps its
-          parent's, an include child takes the gate's hi;
-    floor, for lambda_min(A_U): eigensolved at the root; an include child
-          keeps its parent's (the same U); an exclude child, whose U lacks
-          v_i, eigensolves A_U unless its parent's floor certifies that it
-          cannot be pruned (below).
-Let u = 2^-53, T the computed sum of squares of all entries and
-eta = (m + 64 d^2 + 2) u (2T + 1).  Every computed eigenvalue of a Gram that
-the solver eigensolves is within eta of the exact eigenvalue of A_S, by the
-derivation in the ks2.oracle docstring (summation error gamma_m, backward
-stability of LAPACK's eigensolver, Weyl's inequality).  With
-slack = 2 eta (rounding_slack):
-  * top > hi_bound + slack gives exact lambda_max(A_G) > hi_bound + eta, so
-    the gate's computed hi for G exceeds hi_bound;
-  * a computed floor < lo_bound - slack gives exact lambda_min(A_G) <
-    lo_bound - eta, so the gate's computed lo for G is below lo_bound.
-Either way no descendant gates.  A surviving entry keeps its ledger hash,
-hence its draws (keyed by seed, level and hash), and its place in entry
-order, so the earliest gate hit of each level, and with it status, subset
-and report, are those of the unpruned search.  Only peak_level_size, pruned,
-size_filtered (entries that would have been filtered below a pruned one) and
-the level at which max_level_size fires can differ.  The final level is not
-pruned.
-
-The certificate.  An exclude child made at level i has U = U' - {i}, with U'
-its parent's U, and Weyl's inequality gives lambda_min(A_U) >=
-lambda_min(A_U') - ||v_i||^2.  The child's floor is first set to its parent's
-floor minus v_i . v_i, and is eigensolved only when that is below
-lo_bound + 2 slack.  The root's floor and every eigensolved floor are within
-eta of the exact lambda_min(A_U).  Any other floor comes from an eigensolved
-one by a chain of such subtractions, in which each index is subtracted at
-most once; their rounding and that of the squared norms add at most
-(m + d) u (2T + 1) <= eta, so every floor is at most 2 eta above the exact
-lambda_min(A_U).  A certified floor, at least lo_bound + 4 eta, then leaves
-the exact lambda_min(A_U) at least lo_bound + 2 eta, and every computed value
-of it at least lo_bound + eta: the certified entry is kept exactly when an
-eigensolved floor would keep it.
+Completion-bound pruning.  A node S at depth k of search i is dropped when
+no leaf below it can pass the gate.  Every set that search i gates below it
+is some G = S' + {i} with S <= S' <= S + {k, ..., i-1}, so A_{S+{i}} <= A_G
+<= A_{S+{k,...,i}} in the Loewner order.  Let u = 2^-53, T the computed sum
+of squares of all entries and eta = (m + 64 d^2 + 2) u (2T + 1).  The node
+eigensolves P + v_i v_i^T and P + v_k v_k^T + ... + v_i v_i^T; each, like
+the gate's Gram, is a floating-point sum of the rounded products v_ja v_jb
+over some set, at most m terms an entry, so each computed eigenvalue is
+within eta of the exact eigenvalue of that set's A, by the derivation in
+the ks2.oracle docstring (summation error gamma_m in any order, backward
+stability of LAPACK's eigensolver, Weyl's inequality).  With slack = 2 eta
+(rounding_slack):
+  * a computed lambda_max(P + v_i v_i^T) > hi_bound + slack gives exact
+    lambda_max(A_G) > hi_bound + eta, so the gate's computed hi for G
+    exceeds hi_bound;
+  * a computed lambda_min(P + v_k v_k^T + ... + v_i v_i^T) < lo_bound -
+    slack gives exact lambda_min(A_G) < lo_bound - eta, so the gate's
+    computed lo for G is below lo_bound.
+Either way no leaf below the node gates.  The prune never changes which
+nodes exist below the survivors, nor their draws, so search i gates every
+gate hit of L_i in lex order, and status, subset, report and final_subsets
+are those of the level-set search.  The collect pass prunes by the same
+rule with v_m = 0, which is the level rule: lambda_max(A_S) and
+lambda_min(A_{S + {k, ..., m-1}}).
 
 Certified saturation.  Let Lam = lambda_max(A_all) exactly, t its computed
-value from the root's eigensolve (|t - Lam| <= eta), lam the ridge,
+value (|t - Lam| <= eta, by one eigensolve), lam the ridge,
 kappa = (t + eta + lam) / lam >= (Lam + lam) / lam, N = 2T and
 g = (m + 3 d + 8) u (N + d lam) / lam.  Suppose every weight so far is 1.0.
-Then an entry's sum B is the floating-point sum of the rounded v_j v_j^T,
+Then a node's sum B is the floating-point sum of the rounded v_j v_j^T,
 j in S, and A_S <= A_all <= Lam I.  The sampled path would compute p thus
 (to first order in u; the constants are rounded up to cover the rest):
   * ||B - A_S||_2 <= gamma_m N, as in the ks2.oracle docstring.
@@ -118,20 +111,20 @@ exp(sigma) <= 1 + 2 sigma for sigma <= 1/4, which also gives g <= 1/16 and
 the Cholesky condition.  The margin is r / (1 + 4 sigma), and the 2 sigma
 left over covers the rounding of sigma and of that division.  A margin of
 at least 1 thus gives b^ q >= 1: p = 1.0 exactly and the weight 1 / p is
-1.0, so the next level satisfies the hypothesis, and by induction so does
-every draw of the run.  A sample count is then |S| <= i at level i, so the
-size filter never fires while n >= m.  solve takes this certified path when
+1.0, so the child satisfies the hypothesis, and by induction so does every
+draw of the run.  A sample count is then |S| <= k at depth k, so the size
+filter never fires while n >= m.  solve takes this certified path when
 saturation_margin is at least 1; the margin is 0 when d = 1, n < m or
-sigma > 1/4.  It keeps both children of every entry at weight 1, skipping
+sigma > 1/4.  It keeps both children of every node at weight 1, skipping
 the shifted solves, the draws, the ledger hashes and the size filter, none
-of which can change a result; the gate, the prune and the floor eigensolves
-are those of the sampled path, so every outcome, stats included, is that
-path's.  As no entry is ever lost to a skip or the filter, every nonempty
-subset G of {0, ..., m-1} is either gated at the level of its largest index
-or lies below an entry the completion bound dropped, which proves that no
-descendant gates.  A certified "not found" therefore shows that the gate's
-computed extremes of every A_G miss the relaxed band: up to the gate's
-eigenvalue rounding (eta), no subset satisfies eq2.
+of which can change a result; the gate and the prune are those of the
+sampled path, so every outcome, stats included, is that path's.  As no node
+is ever lost to a skip or the filter, every set S + {i} with S a subset of
+{0, ..., i-1} is either gated by search i or lies below a node that search
+i pruned, which proves that it does not gate.  A certified "not found"
+therefore shows that the gate's computed extremes of every nonempty A_G
+miss the relaxed band: up to the gate's eigenvalue rounding (eta), no
+subset satisfies eq2.
 """
 from __future__ import annotations
 
@@ -142,12 +135,13 @@ from typing import Optional
 import numpy as np
 
 from . import prng
-from .errors import InfeasibleParameters, InternalInvariantError, ResourceExhausted
+from .errors import InfeasibleParameters, InternalInvariantError, TooLarge
 from .instance import Instance, SubsetReport, check_subset, validate
 from .linalg import eig_extremes_stack, rounding_eta
 from .sparsifier import budget, fold_ledger_hashes, new_state, stack_probabilities
 
 DEFAULT_LEVEL_CONSTANT = 40.0
+_BLOCK = 128  # nodes per search block
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,6 @@ class SolverParams:
     mu: float
     lam: float
     n: int
-    max_level_size: Optional[int] = None
 
     @property
     def delta(self) -> float:
@@ -198,15 +191,18 @@ def derive_params(inst: Instance, c: float, epsilon: float,
 
 @dataclass
 class SolveStats:
-    """Counters of one solve.  peak_level_size, like the max_level_size cap,
-    counts the entries of a level that survive the size filter and the prune;
-    pruned counts the entries the completion bound dropped."""
+    """Counters of one solve.  levels_processed counts the searches run, one
+    per level; peak_level_size is the most depth-i nodes that search i
+    gated; nodes counts the popped nodes, as node_limit does, and pruned and
+    size_filtered the nodes the completion bound and the size filter
+    dropped, all summed over the searches."""
 
     levels_processed: int = 0
     peak_level_size: int = 0
     size_filtered: int = 0
     pruned: int = 0
     dedup_hits: int = 0
+    nodes: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -218,21 +214,18 @@ def rounding_slack(inst: Instance) -> float:
     return 2 * rounding_eta(inst.vectors)
 
 
-def saturation_margin(inst: Instance, params: SolverParams,
-                      top: Optional[float] = None) -> float:
+def saturation_margin(inst: Instance, params: SolverParams) -> float:
     """b (1 + mu) min_i ||v_i||^2 / (lambda_max(A_all) + lam) over its proven
     rounding factor 1 + 4 sigma (Certified saturation, module docstring).
 
     At least 1 certifies that every sampling probability of a solve is 1.0
     and that the size filter never fires; 0 when no certificate can hold
-    (d = 1, n < m, mu^2 underflows, sigma > 1/4).  top is the computed
-    lambda_max(A_all), or None to eigensolve it here.
+    (d = 1, n < m, mu^2 underflows, sigma > 1/4).
     """
     m, d = inst.vectors.shape
     if d < 2 or params.n < m or params.mu**2 == 0:
         return 0.0
-    if top is None:
-        top = float(eig_extremes_stack(inst.grams(np.ones((1, m), dtype=bool)))[1][0])
+    top = float(eig_extremes_stack(inst.grams(np.ones((1, m), dtype=bool)))[1][0])
     u, lam = 2.0**-53, params.lam
     eta = rounding_eta(inst.vectors)
     kappa = (top + eta + lam) / lam
@@ -269,93 +262,101 @@ class SolveOutcome:
 def solve(inst: Instance, c: float, epsilon: float, seed: int,
           params_override: Optional[SolverParams] = None,
           collect_subsets: bool = False,
-          threads: int = 1) -> SolveOutcome:
-    """Run the level-set search; deterministic per (instance, c, epsilon, seed, params).
+          threads: int = 1,
+          node_limit: Optional[int] = None) -> SolveOutcome:
+    """Run the search; deterministic per (instance, c, epsilon, seed, params).
 
     collect_subsets records the final level's representative subsets in
-    final_subsets.  threads is ignored (each level is processed by batched
-    kernels in the calling thread); it stays only because the benchmark's
-    workloads pass threads=1.
+    final_subsets.  node_limit raises TooLarge when the popped nodes would
+    exceed it.  threads is ignored (blocks are processed by batched kernels
+    in the calling thread); it stays only because the benchmark's workloads
+    pass threads=1.
     """
     if not inst.validated:
         inst = validate(inst)
     params = params_override if params_override is not None else derive_params(inst, c, epsilon)
     c, epsilon = params.c, params.epsilon  # override wins when both are given
-    m = inst.num_vectors
+    m, d = inst.vectors.shape
     stats = SolveStats()
     ca = c * math.sqrt(inst.alpha)
     lo_bound = (1.0 - epsilon) * (0.5 - ca)
     hi_bound = (1.0 + epsilon) * (0.5 + ca)
-
     slack = rounding_slack(inst)
-    tails = np.arange(m) >= np.arange(m + 1)[:, None]  # row j: the indices j, ..., m-1
+    root = new_state(d, params.mu, params.delta)  # checks mu and delta on either path
+    budget(d, params.mu)  # d = 1 has no sampling budget: raise before any search
+    certified = saturation_margin(inst, params) >= 1.0
+    # A block: (P, membership) and, on the sampled path, (B, sample count, ledger hash).
+    roots = (np.zeros((1, d, d)), np.zeros((1, m), dtype=bool))
+    if not certified:
+        roots += (root.b.a[None], np.zeros(1, dtype=np.int64),
+                  np.array([root.ledger_hash], dtype=np.uint64))
+    outers = np.zeros((m + 1, d, d))  # v_m = 0 for the collect pass
+    outers[:m] = inst.vectors[:, :, None] * inst.vectors[:, None, :]
 
-    root = new_state(inst.dim, params.mu, params.delta)  # checks mu and delta on either path
-    floor, top_all = eig_extremes_stack(inst.grams(tails[:1]))
-    certified = saturation_margin(inst, params, float(top_all[0])) >= 1.0
-    members, top = np.zeros((1, m), dtype=bool), np.zeros(1)
-    if not certified:  # the sampled path's sparsifier sums, sample counts and ledger hashes
-        sums, counts = root.b.a[None], np.zeros(1, dtype=np.int64)
-        hashes = np.array([root.ledger_hash], dtype=np.uint64)
+    def search(i):
+        """Search i of the module docstring: the membership blocks of its
+        depth-i nodes, in lex order."""
+        tails = np.cumsum(outers[i::-1], axis=0)[::-1]  # tails[k] = v_k v_k^T + ... + v_i v_i^T
+        stack = [(0, roots)]
+        while stack:
+            k, block = stack.pop()
+            p, n = block[0], len(block[0])
+            stats.nodes += n
+            if node_limit is not None and stats.nodes > node_limit:
+                raise TooLarge(f"solve exceeded node limit {node_limit}")
+            keep = np.full(n, True) if certified or k == m else block[3] <= params.n
+            stats.size_filtered += n - int(np.count_nonzero(keep))
+            if k < i:
+                p = p[keep]
+                lo, hi = eig_extremes_stack(np.concatenate((p + outers[i], p + tails[k])))
+                live = ~((hi[:len(p)] > hi_bound + slack) | (lo[len(p):] < lo_bound - slack))
+                stats.pruned += int(np.count_nonzero(~live))
+                keep[keep] = live
+            if not keep.any():
+                continue
+            block = tuple(a[keep] for a in block)
+            if k == i:
+                yield block[1]
+                continue
+            kept = np.full(len(block[0]), True)  # certified: p = 1.0 exactly, weight 1
+            if not certified:
+                prob = stack_probabilities(block[2], root.mu, root.shift, inst.vectors[k])
+                kept = prob >= 1.0
+                part = np.flatnonzero((prob > 0.0) & (prob < 1.0))
+                kept[part] = prng.first_uniforms(seed, (prng.TAG_SOLVER, k),
+                                                 block[4][part]) <= prob[part]
+            # Children in lex order: a keep emits (S, old) then (S', new), a
+            # skip emits (S', old); either way S' is the node's last child.
+            parent = np.repeat(np.arange(len(kept)), 1 + kept)
+            last = np.cumsum(1 + kept) - 1
+            block = tuple(a[parent] for a in block)
+            block[0][last] += outers[k]
+            block[1][last, k] = True
+            if not certified:
+                fresh, weights = last[kept], 1.0 / prob[kept]
+                block[2][fresh] += weights[:, None, None] * outers[k]
+                block[3][fresh] += 1
+                block[4][fresh] = fold_ledger_hashes(block[4][fresh], k, weights)
+            for s in reversed(range(0, len(parent), _BLOCK)):
+                stack.append((k + 1, tuple(a[s:s + _BLOCK] for a in block)))
+
     for i in range(m):
-        alive = np.full(len(members), True) if certified else counts <= params.n
-        stats.size_filtered += int(np.count_nonzero(~alive))
-        live = alive & ~((top > hi_bound + slack) | (floor < lo_bound - slack))
-        stats.pruned += int(np.count_nonzero(alive & ~live))
-        members, top, floor = members[live], top[live], floor[live]
-        if not certified:
-            sums, counts, hashes = sums[live], counts[live], hashes[live]
-        _note_level(stats, params.max_level_size, i, len(members))
         stats.levels_processed += 1
+        gated = 0
+        for member in search(i):
+            rows = member | (np.arange(m) == i)
+            lo, hi = eig_extremes_stack(inst.grams(rows))
+            gated += len(rows)
+            stats.peak_level_size = max(stats.peak_level_size, gated)
+            hits = np.flatnonzero((lo_bound <= lo) & (hi <= hi_bound))
+            if hits.size:  # the first gate hit in lex order wins
+                hit = tuple(np.flatnonzero(rows[hits[0]]).tolist())
+                report = check_subset(inst, hit, c, epsilon)
+                if not report.satisfies_eq2:
+                    raise InternalInvariantError(
+                        f"gated subset {hit} fails the band on independent recheck")
+                return SolveOutcome("found", report.subset, report, stats)
 
-        grown = members.copy()
-        grown[:, i] = True
-        lo, hi = eig_extremes_stack(inst.grams(grown))
-        hits = np.flatnonzero((lo_bound <= lo) & (hi <= hi_bound))
-        if hits.size:  # earliest gate hit in entry order wins
-            hit = tuple(np.flatnonzero(grown[hits[0]]).tolist())
-            report = check_subset(inst, hit, c, epsilon)
-            if not report.satisfies_eq2:
-                raise InternalInvariantError(
-                    f"gated subset {hit} fails the band on independent recheck")
-            return SolveOutcome("found", report.subset, report, stats)
-
-        v = inst.vectors[i]
-        if certified:  # p = 1.0 exactly: every entry keeps v_i at weight 1
-            kept = np.full(len(members), True)
-        else:
-            p = stack_probabilities(sums, root.mu, root.shift, v)
-            kept = p >= 1.0
-            part = np.flatnonzero((p > 0.0) & (p < 1.0))
-            kept[part] = prng.first_uniforms(seed, (prng.TAG_SOLVER, i), hashes[part]) <= p[part]
-
-        # Children in entry order: a keep emits (S, old) then (S', new), a
-        # skip emits (S', old); either way S' is the entry's last child.
-        parent = np.repeat(np.arange(len(kept)), 1 + kept)
-        last = np.cumsum(1 + kept) - 1
-        fresh = last[kept]
-        members, top, floor = members[parent], top[parent], floor[parent]
-        members[last, i] = True
-        top[last] = hi
-        if not certified:
-            weights = 1.0 / p[kept]
-            sums, counts, hashes = sums[parent], counts[parent], hashes[parent]
-            sums[fresh] += weights[:, None, None] * np.outer(v, v)
-            counts[fresh] += 1
-            hashes[fresh] = fold_ledger_hashes(hashes[fresh], i, weights)
-        if i + 1 < m:  # exclude children lose v_i from U; the final level is not pruned
-            out = fresh - 1
-            floor[out] -= v @ v
-            need = out[floor[out] < lo_bound + 2 * slack]
-            floor[need] = eig_extremes_stack(inst.grams(members[need] | tails[i + 1]))[0]
-
-    _note_level(stats, params.max_level_size, m, len(members))
-    final = [tuple(np.flatnonzero(row).tolist()) for row in members] if collect_subsets else None
+    final = ([tuple(np.flatnonzero(row).tolist()) for member in search(m) for row in member]
+             if collect_subsets else None)
     return SolveOutcome("not-found", None, None, stats, final_subsets=final)
-
-
-def _note_level(stats: SolveStats, cap: Optional[int], level: int, size: int) -> None:
-    """Record a level's size after the size filter and the prune; enforce the cap."""
-    stats.peak_level_size = max(stats.peak_level_size, size)
-    if cap is not None and size > cap:
-        raise ResourceExhausted(f"level {level} holds {size} entries > cap {cap}", stats=stats)

@@ -1,13 +1,14 @@
 """Per-entry reference for ks2.solver.solve (test-only).
 
-This is the solver as it was before levels became arrays: one Python
+This is the level-set search of the paper, level by level: one Python
 object per level entry, one gate eigensolve and one sparsifier.observe call
 per entry, and an explicit dedup pass on ledger tuples.  Its completion-bound
 prune eigensolves A_S and A_{S + {i, ..., m-1}} of every entry from scratch
-at the top of each level, with the slack of reference_oracle.rounding_bound,
-where the batched solver carries top and floor from parent to child.  The
-tests compare the batched solver against it outcome for outcome, stats
-included; prune=False gives the unpruned search.
+at the top of each level, with the slack of reference_oracle.rounding_bound.
+The tests compare the depth-first solver against it: status, subset,
+report, final_subsets, levels_processed and dedup_hits.  Its other stats
+count level entries, where the solver's count search nodes.  prune=False
+gives the unpruned search.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ks2 import prng
-from ks2.errors import InternalInvariantError, ResourceExhausted
+from ks2.errors import InternalInvariantError, TooLarge
 from ks2.instance import Instance, check_subset, validate
 from ks2.solver import SolveOutcome, SolverParams, SolveStats, derive_params
 from ks2.sparsifier import SparsifierState, new_state, observe
@@ -47,12 +48,6 @@ def _can_gate(inst, entry: LevelEntry, i: int, lo_bound: float, hi_bound: float,
     return not (top > hi_bound + slack or floor < lo_bound - slack)
 
 
-def _note_level(stats: SolveStats, cap: Optional[int], level: int, size: int) -> None:
-    stats.peak_level_size = max(stats.peak_level_size, size)
-    if cap is not None and size > cap:
-        raise ResourceExhausted(f"level {level} holds {size} entries > cap {cap}", stats=stats)
-
-
 def _process_entry(inst, entry: LevelEntry, i: int, lo_bound: float, hi_bound: float,
                    seed: int, force_sample: bool):
     """Gate S + {i}; if it fails, observe v_i and emit the child entries."""
@@ -76,8 +71,10 @@ def reference_solve(inst: Instance, c: float, epsilon: float, seed: int,
                     params_override: Optional[SolverParams] = None,
                     force_sample: bool = False,
                     collect_subsets: bool = False,
-                    prune: bool = True) -> SolveOutcome:
-    """Same contract as ks2.solver.solve, one entry at a time."""
+                    prune: bool = True,
+                    node_limit: Optional[int] = None) -> SolveOutcome:
+    """Same contract as ks2.solver.solve, one entry at a time.  node_limit
+    caps the entries of every level, summed, and raises solve's TooLarge."""
     if not inst.validated:
         inst = validate(inst)
     params = params_override if params_override is not None else derive_params(inst, c, epsilon)
@@ -91,12 +88,15 @@ def reference_solve(inst: Instance, c: float, epsilon: float, seed: int,
 
     level = [LevelEntry((), new_state(inst.dim, params.mu, params.delta))]
     for i in range(m):
+        stats.nodes += len(level)
+        if node_limit is not None and stats.nodes > node_limit:
+            raise TooLarge(f"solve exceeded node limit {node_limit}")
         survivors = [e for e in level if e.state.sample_count <= params.n]
         stats.size_filtered += len(level) - len(survivors)
         gating = [e for e in survivors
                   if not prune or _can_gate(inst, e, i, lo_bound, hi_bound, slack)]
         stats.pruned += len(survivors) - len(gating)
-        _note_level(stats, params.max_level_size, i, len(gating))
+        stats.peak_level_size = max(stats.peak_level_size, len(gating))
         stats.levels_processed += 1
         results = [_process_entry(inst, e, i, lo_bound, hi_bound, seed, force_sample)
                    for e in gating]
@@ -121,6 +121,5 @@ def reference_solve(inst: Instance, c: float, epsilon: float, seed: int,
                 next_level.append(child)
         level = next_level
 
-    _note_level(stats, params.max_level_size, m, len(level))
     final = [e.subset for e in level] if collect_subsets else None
     return SolveOutcome("not-found", None, None, stats, final_subsets=final)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import operator
@@ -22,7 +21,6 @@ from ks2.reduction import (
     nae_eval,
     parse_dimacs,
 )
-from ks2.solver import SolveStats
 
 
 def _reject_constant(name):
@@ -86,8 +84,8 @@ class TestSolveVerify:
                         "--epsilon", "0.1", "--seed", "1")
         assert code == 1
         assert res["status"] == "not-found"
-        # Completion-bound pruning keeps 72 of the 512 subsets of the last level.
-        assert res["stats"]["pruned"] > 0 and res["stats"]["peak_level_size"] == 72
+        # Every search but the first prunes its root: nine popped nodes.
+        assert res["stats"]["nodes"] == 9 and res["stats"]["pruned"] == 8
 
     def test_iso_tol(self, tmp_path, capsys):
         # sum v v^T = 1/2: isotropy deviation 1/2, over the default tolerance.
@@ -483,19 +481,18 @@ class TestMalformedInput:
                                               "message": "layout lost a clause"}
         assert "internal invariant failure" in captured.err
 
-    def test_level_cap_is_resource_exhausted(self, tmp_path, capsys):
+    def test_node_limit_is_too_large(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         run(capsys, "gen", "planted", "--d", "3", "--k", "4", "--seed", "1",
             "--out", str(inst))
         code = main(["solve", str(inst), "--c", "0.1", "--epsilon", "0.3", "--seed", "1",
-                     "--max-level-size", "1"])
+                     "--node-limit", "1"])
         captured = capsys.readouterr()
         assert code == 2 and "Traceback" not in captured.err
         lines = captured.out.strip().splitlines()
         assert len(lines) == 1
         res = strict_loads(lines[0])
-        assert res.keys() == {"error", "stats"} and res["error"] == "resource-exhausted"
-        assert res["stats"].keys() == {f.name for f in dataclasses.fields(SolveStats)}
+        assert res == {"error": "too-large", "message": "solve exceeded node limit 1"}
 
     def test_solve_has_no_threads_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -507,9 +504,12 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv, flag", [
         (["solve", "inst.json", "--c", "0.1", "--epsilon", "0.3", "--seed", "1"], "--n-override"),
         (["reduce", "sat2ks", "f.cnf", "--out", "inst.json"], "--ksform"),
-    ], ids=["solve", "sat2ks"])
+        (["solve", "inst.json", "--c", "0.1", "--epsilon", "0.3", "--seed", "1"],
+         "--max-level-size"),
+    ], ids=["solve", "sat2ks", "solve-max-level-size"])
     def test_removed_flag(self, capsys, argv, flag):
-        # --C is the one knob for n; `reduce nae2ksform --out` writes the rewritten formula.
+        # --C is the one knob for n; `reduce nae2ksform --out` writes the rewritten
+        # formula; --node-limit is the one cap on a solve.
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, "5"])
         assert exc.value.code == 2
@@ -720,7 +720,7 @@ class TestExitCodeContract:
         inst.write_bytes(content)
         self._check(capsys, ["solve", str(inst), f"--c={c}", f"--epsilon={epsilon}",
                              f"--C={level}", "--seed", "1", "--iso-tol", "1e6",
-                             "--max-level-size", "4096"])
+                             "--node-limit", "4096"])
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

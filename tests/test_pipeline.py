@@ -172,15 +172,20 @@ def test_solver_layers_script_times_against_a_checkout(tmp_path):
     report = json.loads(out.read_text())
     assert report.keys() == {"instances", "machine", "peak_rss_mb"}
     planted, mu1 = report["instances"]["gen_planted(5, 8, seed=0)"], report["instances"][name]
-    # The certified run eigensolves its gates and floors but makes no shifted
-    # solve and no draw; the mu = 1 run samples.
+    # The certified run eigensolves its gates and prunes but makes no shifted
+    # solve and no draw; the mu = 1 run samples, and finds its subset before
+    # it expands a node with p < 1, so it draws nothing.
     assert planted["certified"] and planted["margin"] >= 1.0
     assert planted["shifted_solves"] == planted["uniform_draws"] == 0
-    assert planted["gate_matrices"] > 0 and planted["floor_matrices"] >= 0
-    assert not mu1["certified"] and mu1["shifted_solves"] > 0 and mu1["uniform_draws"] > 0
-    assert mu1["shifted_solves"] <= mu1["gate_matrices"]  # none at a level that gates
+    assert not mu1["certified"] and mu1["shifted_solves"] > 0 and mu1["uniform_draws"] == 0
     for rec in (planted, mu1):
+        # Every node above a search's depth that survives the filter is
+        # pruned or expanded after one prune eigensolve of two matrices;
+        # only expanded nodes make shifted solves.
+        assert rec["gate_matrices"] > 0 and rec["prune_matrices"] > 0
+        assert rec["prune_matrices"] % 2 == 0 and rec["pruned"] <= rec["prune_matrices"] // 2
+        assert rec["shifted_solves"] <= rec["prune_matrices"] // 2 - rec["pruned"]
+        assert rec["gate_matrices"] + rec["prune_matrices"] // 2 <= rec["nodes"]
         assert rec["reps"] == rec["against"]["reps"] == rec["against"]["rounds"] == 1
         assert rec["against"]["rounds_this_faster"] in (0, 1)
-        assert rec["us_per_entry"] == pytest.approx(rec["wall_median_s"] * 1e6
-                                                    / rec["gate_matrices"])
+        assert rec["us_per_node"] == pytest.approx(rec["wall_median_s"] * 1e6 / rec["nodes"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from ks2 import Instance, check_subset, gen_planted, gen_random, prng, sparsifier, validate
 from ks2 import solver as solver_module
 from ks2.errors import (BadParams, DegenerateDimension, InfeasibleParameters, NotIsotropic,
-                        ResourceExhausted)
+                        TooLarge)
 from ks2.linalg import eig_extremes_stack
 from ks2.solver import derive_params, rounding_slack, saturation_margin, solve
 
@@ -98,30 +98,34 @@ class TestSolve:
         assert seq.found and par.found
         assert seq.subset == par.subset
 
-    def test_level_cap_raises(self, stress_notfound):
-        params = dataclasses.replace(
-            derive_params(stress_notfound, 0.1, 0.1), max_level_size=4)
-        with pytest.raises(ResourceExhausted) as exc:
-            solve(stress_notfound, 0.1, 0.1, seed=1, params_override=params)
-        assert exc.value.stats is not None
+    def test_node_limit_raises(self, stress_notfound):
+        # Every search of this instance pops one node, its root: nine in all.
+        assert solve(stress_notfound, 0.1, 0.1, seed=1).stats.nodes == 9
+        with pytest.raises(TooLarge, match="node limit 4"):
+            solve(stress_notfound, 0.1, 0.1, seed=1, node_limit=4)
 
-    def test_level_cap_counts_survivors(self, stress_notfound):
-        # The cap counts the entries that survive the prune: 72 of the 512
-        # subsets of the final level, which the unpruned search holds whole.
-        params = dataclasses.replace(
-            derive_params(stress_notfound, 0.1, 0.1), max_level_size=72)
-        out = solve(stress_notfound, 0.1, 0.1, seed=1, params_override=params)
-        assert not out.found and out.stats.peak_level_size == 72
-        with pytest.raises(ResourceExhausted):
-            reference_solve(stress_notfound, 0.1, 0.1, 1, params_override=params, prune=False)
+    def test_node_limit_counts_popped_nodes(self):
+        # The limit counts the popped nodes that stats.nodes reports, on the
+        # certified path (planted) and on the sampled one (mu = 1) alike.
+        for case in ("planted-d5-k8", "forced-unsaturated-mu1"):
+            build, c, epsilon, seed = REFERENCE_CASES[case]
+            inst, kwargs = build()
+            out = solve(inst, c, epsilon, seed, **kwargs)
+            capped = solve(inst, c, epsilon, seed, node_limit=out.stats.nodes, **kwargs)
+            assert capped.to_dict() == out.to_dict()
+            with pytest.raises(TooLarge):
+                solve(inst, c, epsilon, seed, node_limit=out.stats.nodes - 1, **kwargs)
 
-    def test_size_filter_accounting(self, stress_notfound):
-        # n = 0 drops every entry that sampled anything.
-        params = dataclasses.replace(
-            derive_params(stress_notfound, 0.1, 0.1), n=0)
-        out = solve(stress_notfound, 0.1, 0.1, seed=2, params_override=params)
-        assert not out.found
+    def test_size_filter_accounting(self):
+        # n = 0 drops every node that sampled anything; the run samples, as
+        # n < m voids the certificate, and stays the reference's.
+        inst = gen_random(4, 14, seed=1)
+        params = dataclasses.replace(derive_params(inst, 0.02, 0.3), n=0)
+        out = solve(inst, 0.02, 0.3, seed=2, params_override=params)
         assert out.stats.size_filtered > 0
+        want = reference_solve(inst, 0.02, 0.3, 2, params_override=params)
+        assert (out.status, out.subset) == (want.status, want.subset)
+        assert want.stats.size_filtered > 0
 
     def test_power_set_equivalence_small(self, forced_sampling):
         # Forced sampling with an inactive size filter keeps every subset
@@ -154,27 +158,31 @@ class TestSolve:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(gram_families())
 def test_prune_slack_is_sound(vectors):
-    # For every level i and prefix S of the first i vectors, top = lambda_max
-    # of A_S and floor = lambda_min of A_{S + {i, ..., m-1}}, computed as the
-    # solver computes them, bound the computed extremes of every set G that a
-    # descendant gates (S < G <= S + {i, ..., m-1}) up to the slack.  Column
-    # S and row T of the reshaped table hold the subset S + (T shifted by i).
-    # The certificate: the floor minus v_i . v_i, as the solver computes an
-    # exclude child's, is at most the computed floor of S + {i + 1, ..., m-1}
-    # plus the slack.
+    # For every search i, depth k <= i and node S of the first k vectors,
+    # lambda_max(P + v_i v_i^T) and lambda_min(P + v_k v_k^T + ... + v_i v_i^T),
+    # computed as the solver computes them (P summed in index order, the
+    # tail by cumsum), bound the gate's computed extremes of every set
+    # S' + {i}, S <= S' <= S + {k, ..., i-1}, up to the slack.  Bit j of a
+    # subset's number is index j, so column S and row T of the reshaped gate
+    # table hold the subset S + (T shifted by k).
     inst = Instance(vectors)
-    m = inst.num_vectors
+    m, d = vectors.shape
     slack = rounding_slack(inst)
+    outers = vectors[:, :, None] * vectors[:, None, :]
+    sums = np.zeros((2**m, d, d))
+    for t in range(m):  # the sums of the subsets with top index t
+        sums[2**t:2 ** (t + 1)] = sums[:2**t] + outers[t]
     rows = (np.arange(2**m)[:, None] >> np.arange(m) & 1).astype(bool)
-    lo, hi = eig_extremes_stack(inst.grams(rows))
     for i in range(m):
-        lo_i, hi_i = lo.reshape(2 ** (m - i), 2**i), hi.reshape(2 ** (m - i), 2**i)
-        top, floor = hi_i[0], lo_i[-1]
-        assert np.all(top - slack <= hi_i[1:].min(axis=0))
-        assert np.all(floor + slack >= lo_i[1:].max(axis=0))
-        v = inst.vectors[i]
-        out_floor = lo.reshape(2 ** (m - i - 1), 2 ** (i + 1))[-1, :2**i]
-        assert np.all(floor - v @ v <= out_floor + slack)
+        gate = rows[:2**i].copy()
+        gate[:, i] = True
+        lo, hi = eig_extremes_stack(inst.grams(gate))
+        tails = np.cumsum(outers[i::-1], axis=0)[::-1]
+        for k in range(i + 1):
+            top = eig_extremes_stack(sums[:2**k] + outers[i])[1]
+            floor = eig_extremes_stack(sums[:2**k] + tails[k])[0]
+            assert np.all(top - slack <= hi.reshape(2 ** (i - k), 2**k).min(axis=0))
+            assert np.all(floor + slack >= lo.reshape(2 ** (i - k), 2**k).max(axis=0))
 
 
 def _with(inst, c, epsilon, **changes):
@@ -201,13 +209,14 @@ REFERENCE_CASES = {
     "power-set-2": (lambda: _power_set_case(2), 0.1, 0.1, 0),
     "n-override-0": (lambda: (stress_instance(2), dict(
         params_override=_with(stress_instance(2), 0.1, 0.1, n=0))), 0.1, 0.1, 2),
-    "level-cap-4": (lambda: (stress_instance(2), dict(
-        params_override=_with(stress_instance(2), 0.1, 0.1, max_level_size=4))), 0.1, 0.1, 1),
+    # Capped at four popped nodes; stress-2 is the same run uncapped.
+    "level-cap-4": (lambda: (stress_instance(2), dict(node_limit=4)), 0.1, 0.1, 1),
     "d1-degenerate": (_d1_case, 0.1, 0.3, 0),
     # mu = 1 leaves about a third of the sampling probabilities below 1.
+    # Capped: the reference's levels grow to millions of entries.
     "unsaturated-mu1": (lambda: (gen_random(3, 40, seed=3), dict(
-        params_override=_with(gen_random(3, 40, seed=3), 0.1, 0.3, mu=1.0,
-                              max_level_size=20000))), 0.1, 0.3, 3),
+        params_override=_with(gen_random(3, 40, seed=3), 0.1, 0.3, mu=1.0),
+        node_limit=1000)), 0.1, 0.3, 3),
     "forced-unsaturated-mu1": (lambda: (gen_random(3, 14, seed=3), dict(
         params_override=_with(gen_random(3, 14, seed=3), 0.1, 0.3, mu=1.0))), 0.1, 0.3, 3),
 }
@@ -216,12 +225,15 @@ FORCED = {"power-set-1", "power-set-2", "forced-unsaturated-mu1"}
 
 
 def _record(fn, inst, c, epsilon, seed, kwargs):
+    """What the solver and the reference share: the outcome, final_subsets,
+    levels_processed and dedup_hits; the other stats count search nodes in
+    one and level entries in the other."""
     try:
         out = fn(inst, c, epsilon, seed, collect_subsets=True, **kwargs)
     except Exception as exc:
-        stats = getattr(exc, "stats", None)
-        return ("raised", type(exc), str(exc), stats.to_dict() if stats else None)
-    return ("returned", out.to_dict(), out.report, out.final_subsets)
+        return ("raised", type(exc), str(exc))
+    return ("returned", out.status, out.subset, out.report, out.final_subsets,
+            out.stats.levels_processed, out.stats.dedup_hits)
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
@@ -234,9 +246,62 @@ def test_matches_per_entry_reference(case, request):
     assert got == _record(reference_solve, inst, c, epsilon, seed,
                           dict(kwargs, force_sample=case in FORCED))
     if case == "d1-degenerate":
-        assert got[1].__name__ == "DegenerateDimension"
-    if case == "unsaturated-mu1":
-        assert got[1] is ResourceExhausted
+        assert got[1] is DegenerateDimension
+    if "node_limit" in kwargs:
+        assert got[1] is TooLarge
+        uncapped = {k: v for k, v in kwargs.items() if k != "node_limit"}
+        out = solve(inst, c, epsilon, seed, **uncapped)
+        assert (out.status == "found") == (case == "unsaturated-mu1")
+        if out.found:
+            assert check_subset(inst, out.subset, c, epsilon).satisfies_eq2
+
+
+@pytest.mark.parametrize("collect_subsets", [False, True])
+def test_d1_raises_before_any_search(collect_subsets, monkeypatch):
+    # At d = 1 the sampling budget vanishes; solve raises before it
+    # eigensolves anything, whether or not a node would be expanded.
+    inst, _ = _d1_case()
+    monkeypatch.setattr(solver_module, "eig_extremes_stack", None)
+    with pytest.raises(DegenerateDimension):
+        solve(inst, 0.1, 0.3, 0, collect_subsets=collect_subsets)
+
+
+def _sweep_case(d, c, seed):
+    """A seeded gen_random instance with d + 1 <= m <= 12, and its kwargs by
+    seed mod 3: derived parameters, mu = 1, or mu = 1 with n = 2."""
+    m = d + 1 + seed % (12 - d)
+    inst = gen_random(d, m, seed=seed)
+    kwargs = [{}, dict(params_override=_with(inst, c, 0.3, mu=1.0)),
+              dict(params_override=_with(inst, c, 0.3, mu=1.0, n=2))][seed % 3]
+    return inst, kwargs
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["drawn", "forced"])
+@pytest.mark.parametrize("c", [0.02, 0.05, 0.1, 0.2])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_sweep_matches_reference(d, c, forced, request):
+    # Certified and sampled runs, found and not found, on many shapes; with
+    # forced, every draw reads 0 (the forced_sampling fixture).
+    if forced:
+        request.getfixturevalue("forced_sampling")
+    for seed in range(12):
+        inst, kwargs = _sweep_case(d, c, seed)
+        got = _record(solve, inst, c, 0.3, seed, kwargs)
+        assert got == _record(reference_solve, inst, c, 0.3, seed,
+                              dict(kwargs, force_sample=forced)), (d, c, seed)
+
+
+@pytest.mark.parametrize("d, k, seed, subset", [
+    (5, 12, 0, (5, 9, 12, 13, 15, 16, 17, 19, 20, 21, 22)),
+    (5, 12, 1, (1, 2, 3, 4, 5, 7, 11, 13, 15, 16, 17)),
+    (8, 16, 1, (0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 18, 19, 21, 23, 25, 26, 27)),
+])
+def test_larger_planted_subsets_are_pinned(d, k, seed, subset):
+    # m = 24 and 32, pinned because the per-entry reference cannot reach
+    # them: its levels grow to 210,388 entries on the first and 352,768 on
+    # the last.
+    inst, _ = gen_planted(d, k, seed=seed)
+    assert solve(inst, 0.1, 0.3, seed=1).subset == subset
 
 
 UNPRUNED_CASES = {
@@ -256,15 +321,16 @@ UNPRUNED_CASES = {
 def _outcome(fn, inst, c, epsilon, seed, kwargs):
     try:
         out = fn(inst, c, epsilon, seed, **kwargs)
-    except ResourceExhausted as exc:
-        return ("raised",), exc.stats
+    except TooLarge:
+        return ("raised",), None
     return (out.status, out.subset, out.report), out.stats
 
 
 @pytest.mark.parametrize("case", sorted(UNPRUNED_CASES))
 def test_prune_keeps_unpruned_outcome(case, request):
-    # Pruning drops only entries that can never gate: status, subset and
-    # report are those of the unpruned search, on no larger levels.
+    # Pruning drops only nodes that can never gate: status, subset and
+    # report are those of the unpruned search, and no search gates more
+    # nodes than the unpruned search holds in a level.
     build, c, epsilon, seed = UNPRUNED_CASES[case]
     inst, kwargs = build()
     if case in FORCED:
@@ -273,7 +339,8 @@ def test_prune_keeps_unpruned_outcome(case, request):
     want, full = _outcome(reference_solve, inst, c, epsilon, seed,
                           dict(kwargs, force_sample=case in FORCED, prune=False))
     assert got == want
-    assert stats.peak_level_size <= full.peak_level_size and full.pruned == 0
+    if stats is not None:
+        assert stats.peak_level_size <= full.peak_level_size and full.pruned == 0
     if case == "random-6-16-not-found":
         assert got[0] == "not-found" and stats.pruned > 0
 
@@ -303,17 +370,23 @@ def sampling_calls(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_reference_case_takes_its_path(case, sampling_calls):
+    # A margin of at least 1 never samples; an uncertified run samples
+    # exactly when it expands a node, that is, when some search pops more
+    # than its root.  Every search of stress-2 prunes its root, and d = 1
+    # raises before any search.
     build, c, epsilon, seed = REFERENCE_CASES[case]
     inst, kwargs = build()
+    kwargs.pop("node_limit", None)
     low, high = MARGINS[case]
     margin = saturation_margin(inst, kwargs.get("params_override")
                                or derive_params(inst, c, epsilon))
     assert low <= margin <= high
     try:
-        solve(inst, c, epsilon, seed, **kwargs)
-    except (DegenerateDimension, ResourceExhausted):
-        pass
-    assert (not sampling_calls) == (margin >= 1.0)
+        stats = solve(inst, c, epsilon, seed, **kwargs).stats
+        expanded = stats.nodes > stats.levels_processed
+    except DegenerateDimension:
+        expanded = False
+    assert bool(sampling_calls) == (margin < 1.0 and expanded)
 
 
 def test_certificate_saturates_every_reference_draw(monkeypatch):
@@ -332,7 +405,8 @@ def test_certificate_saturates_every_reference_draw(monkeypatch):
         inst, _ = gen_planted(5, 8, seed=seed)
         assert saturation_margin(inst, derive_params(inst, 0.1, 0.3)) >= 1.0
         want = reference_solve(inst, 0.1, 0.3, seed)
-        assert solve(inst, 0.1, 0.3, seed).to_dict() == want.to_dict()
+        got = solve(inst, 0.1, 0.3, seed)
+        assert (got.status, got.subset, got.report) == (want.status, want.subset, want.report)
     assert seen and set(seen) == {1.0}
 
 
