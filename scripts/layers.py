@@ -1,4 +1,4 @@
-"""Shared timing harness of the layer scripts (oracle_layers.py, solver_layers.py).
+"""Shared timing harness of the layer scripts (oracle_, solver_ and sparsifier_layers.py).
 
 Wall times are taken in child processes, one per instance and checkout in
 turn: for each instance, every round runs one child per checkout, the order

@@ -162,21 +162,31 @@ def _whiten(rows: np.ndarray, target_scale: float) -> np.ndarray:
     return rows @ (np.sqrt(target_scale) * n.a)
 
 
-def gen_random(d: int, m: int, seed: int) -> Instance:
-    """m seeded Gaussian vectors whitened to an isotropic family.
-
-    Deterministic per (d, m, seed).  Raises DegenerateSample when the sample
-    second-moment matrix is singular (always for m < d).
-    """
-    if d < 1 or m < 1:
-        raise EmptyInstance(f"need d, m >= 1, got d={d}, m={m}")
-    stream = prng.Stream(prng.derive_key(seed, prng.TAG_GEN_RANDOM, d, m))
-    rows = _whiten(_gaussian_rows(stream, m, d), 1.0)
-    inst = Instance(rows, meta={"kind": "random", "seed": seed})
+def _validated(inst: Instance) -> Instance:
+    """validate(inst, iso_tol=1e-9), a miss raising DegenerateSample."""
     try:
         return validate(inst, iso_tol=1e-9)
     except NotIsotropic as exc:
         raise DegenerateSample(f"whitening too inaccurate: {exc}") from exc
+
+
+def gen_random(d: int, m: int, seed: int) -> Instance:
+    """m seeded Gaussian vectors whitened to an isotropic family.
+
+    Deterministic per (d, m, seed).  A draw whose one whitening misses the
+    isotropy tolerance (an ill-conditioned sample, seen only with m = d) is
+    whitened once more; every draw that passes at once is left as it is.
+    Raises DegenerateSample when the sample second-moment matrix is singular
+    (always for m < d).
+    """
+    if d < 1 or m < 1:
+        raise EmptyInstance(f"need d, m >= 1, got d={d}, m={m}")
+    stream = prng.Stream(prng.derive_key(seed, prng.TAG_GEN_RANDOM, d, m))
+    inst = Instance(_whiten(_gaussian_rows(stream, m, d), 1.0), {"kind": "random", "seed": seed})
+    try:
+        return validate(inst, iso_tol=1e-9)
+    except NotIsotropic:
+        return _validated(dataclasses.replace(inst, vectors=_whiten(inst.vectors, 1.0)))
 
 
 def gen_planted(d: int, k: int, seed: int) -> tuple[Instance, tuple[int, ...]]:
@@ -191,13 +201,7 @@ def gen_planted(d: int, k: int, seed: int) -> tuple[Instance, tuple[int, ...]]:
     stream = prng.Stream(prng.derive_key(seed, prng.TAG_GEN_PLANTED, d, k))
     half = _whiten(_gaussian_rows(stream, k, d), 0.5)
     rows = np.repeat(half, 2, axis=0)
-    planted = tuple(range(0, 2 * k, 2))
-    inst = Instance(rows, meta={"kind": "planted", "seed": seed})
-    try:
-        inst = validate(inst, iso_tol=1e-9)
-    except NotIsotropic as exc:
-        raise DegenerateSample(f"whitening too inaccurate: {exc}") from exc
-    return inst, planted
+    return _validated(Instance(rows, {"kind": "planted", "seed": seed})), tuple(range(0, 2 * k, 2))
 
 
 # --- file I/O -----------------------------------------------------------------

@@ -13,10 +13,20 @@ the LAPACK work on argument checks and a condition estimate.  ``dposv`` on
 its default upper triangle gives the same bits as that call; on the lower
 triangle it does not.  The condition estimate only fed a warning, and the
 sparsifier's shifted matrices have every eigenvalue at least delta/mu > 0.
+
+The sparsifier makes one such solve per observed vector, where numpy's call
+overhead, not the LAPACK work, sets the cost.  So ``spd_solve_stack`` adds a
+read-only shift * I kept in a small cache per (d, shift) instead of building
+``np.eye`` per call (``psd_sandwich_check`` takes its delta * I from the same
+cache), and sends a single matrix straight to ``dposv``;
+``SymMatrix.add_outer`` forms v v^T as ``v[:, None] * v``, the product
+``np.outer`` computes, without its wrapper.  Both give the bits of the plain
+calls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -76,8 +86,11 @@ class SymMatrix:
         return SymMatrix.from_array(np.diag(np.asarray(values, dtype=np.float64)))
 
     def add_outer(self, v: np.ndarray, weight: float = 1.0) -> "SymMatrix":
-        """Return self + weight * v v^T (exactly symmetric by construction)."""
-        a = self.a + weight * np.outer(v, v)
+        """Return self + weight * v v^T (exactly symmetric by construction).
+
+        v[:, None] * v is the product np.outer forms, without its call overhead.
+        """
+        a = self.a + weight * (v[:, None] * v)
         a.flags.writeable = False
         return SymMatrix(a)
 
@@ -126,7 +139,15 @@ def spd_solve(m: SymMatrix, shift: float, v: np.ndarray) -> np.ndarray:
         raise DimMismatch(f"vector length {v.shape} vs matrix dim {m.dim}")
     if not np.isfinite(v).all():
         raise InvalidMatrix("right-hand side has non-finite entries")
-    return spd_solve_stack(m.a, shift, v)
+    return spd_solve_stack(m.a, float(shift), v)
+
+
+@lru_cache(maxsize=16)
+def _scaled_identity(d: int, s: float) -> np.ndarray:
+    """s * I, read-only: built once per (d, s) and shared, not once per call."""
+    eye = s * np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def spd_solve_stack(stack: np.ndarray, shift: float, v: np.ndarray) -> np.ndarray:
@@ -134,14 +155,13 @@ def spd_solve_stack(stack: np.ndarray, shift: float, v: np.ndarray) -> np.ndarra
 
     Returns the (..., d) solutions, each bit-identical to the solve on its
     matrix alone; a failed factorization of any matrix raises SingularSystem.
+    A single (d, d) matrix goes straight to one dposv call.
     """
-    shifted = stack + shift * np.eye(stack.shape[-1])
-    if shifted.ndim == 2:
+    d = stack.shape[-1]
+    shifted = stack + _scaled_identity(d, shift)
+    if stack.ndim == 2:
         return _posv(shifted, v)
-    out = np.empty(shifted.shape[:-1])
-    for j in np.ndindex(shifted.shape[:-2]):
-        out[j] = _posv(shifted[j], v)
-    return out
+    return np.array([_posv(m, v) for m in shifted.reshape(-1, d, d)]).reshape(shifted.shape[:-1])
 
 
 def _posv(shifted: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -165,7 +185,7 @@ def psd_sandwich_check(a: SymMatrix, b: SymMatrix, mu: float, delta: float) -> b
     """True iff (1 - mu) A - delta I <= B <= (1 + mu) A + delta I in PSD order.
 
     Each side is checked through the smallest eigenvalue of the difference,
-    with slack PSD_SLACK.
+    with slack PSD_SLACK; both sides go to one stacked eigensolve.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dims {a.dim} vs {b.dim}")
@@ -173,12 +193,10 @@ def psd_sandwich_check(a: SymMatrix, b: SymMatrix, mu: float, delta: float) -> b
         raise InvalidMatrix(f"mu = {mu} outside [0, 1)")
     if delta < 0:
         raise InvalidMatrix(f"delta = {delta} negative")
-    eye = np.eye(a.dim)
-    lower = b.a - (1.0 - mu) * a.a + delta * eye
-    upper = (1.0 + mu) * a.a + delta * eye - b.a
-    lo_min = eig_extremes_stack(0.5 * (lower + lower.T))[0]
-    up_min = eig_extremes_stack(0.5 * (upper + upper.T))[0]
-    return bool(lo_min >= -PSD_SLACK and up_min >= -PSD_SLACK)
+    eye = _scaled_identity(a.dim, float(delta))
+    sides = np.array([b.a - (1.0 - mu) * a.a + eye, (1.0 + mu) * a.a + eye - b.a])
+    lows = eig_extremes_stack(0.5 * (sides + sides.transpose(0, 2, 1)))[0]
+    return bool((lows >= -PSD_SLACK).all())
 
 
 def spectral_distance_half(m: SymMatrix) -> float:

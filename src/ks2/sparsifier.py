@@ -10,6 +10,11 @@ and on a keep, B gains (1/p) v v^T.  With these weights B stays within
 (1 +- mu) of the true sum, up to a delta * I additive slack, with probability
 at least 1 - 1/d.  Randomness is injected by the caller as a uniform draw u,
 so a fixed (state, idx, v, u) is fully deterministic and replayable.
+
+observe is the per-vector step of every stream, so sample_probability does
+no pass over v beyond the shape check, the shifted solve and one dot
+product: a non-finite entry of v shows in the quadratic form, and v is
+scanned for one only when the form is not finite.
 """
 from __future__ import annotations
 
@@ -74,15 +79,6 @@ def new_state(d: int, mu: float, delta: float) -> SparsifierState:
     return SparsifierState(SymMatrix.zeros(d), float(mu), float(delta))
 
 
-def _check_vector(state: SparsifierState, v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (state.dim,):
-        raise InvalidVector(f"vector shape {v.shape} vs dim {state.dim}")
-    if not np.isfinite(v).all():
-        raise InvalidVector("vector has non-finite entries")
-    return v
-
-
 def budget(d: int, mu: float) -> float:
     """b (1 + mu) with b = 8 ln(d)/mu^2: p is this times the quadratic form, capped at 1."""
     if d < 2:
@@ -91,11 +87,24 @@ def budget(d: int, mu: float) -> float:
 
 
 def sample_probability(state: SparsifierState, v) -> float:
-    """min(b (1 + mu) v^T (B + (delta/mu) I)^{-1} v, 1) with b = 8 ln(d)/mu^2."""
-    v = _check_vector(state, v)
-    scale = budget(state.dim, state.mu)
-    quad = np.vecdot(v, spd_solve_stack(state.b.a, state.shift, v))
-    return min(scale * float(quad), 1.0)
+    """min(b (1 + mu) v^T (B + (delta/mu) I)^{-1} v, 1) with b = 8 ln(d)/mu^2.
+
+    Raises InvalidVector for a wrong shape, then for a non-finite entry, then
+    DegenerateDimension for d = 1.  Finiteness is read off the quadratic form
+    q = v . x, x the solution: a non-finite v_j makes x_j, v_j x_j and so q
+    non-finite (IEEE propagation), so v itself is scanned only when q is not
+    finite or the solve raises.  A finite v whose q overflows gets p = 1.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (state.dim,):
+        raise InvalidVector(f"vector shape {v.shape} vs dim {state.dim}")
+    quad = math.nan  # stays NaN when the solve raises
+    try:
+        quad = float(v.dot(spd_solve_stack(state.b.a, state.shift, v)))
+    finally:
+        if not math.isfinite(quad) and not np.isfinite(v).all():
+            raise InvalidVector("vector has non-finite entries")
+    return min(budget(state.dim, state.mu) * quad, 1.0)
 
 
 def stack_probabilities(sums: np.ndarray, mu: float, shift: float, v: np.ndarray) -> np.ndarray:
@@ -128,9 +137,8 @@ def observe(state: SparsifierState, idx: int, v, u: float) -> tuple[SparsifierSt
     p = sample_probability(state, v)
     if p <= 0.0 or u > p:
         return state, False
-    v = np.asarray(v, dtype=np.float64)
     weight = 1.0 / p
-    new_b = state.b.add_outer(v, weight)
+    new_b = state.b.add_outer(np.asarray(v, dtype=np.float64), weight)
     h = prng.mix64(state.ledger_hash ^ prng.mix64(idx))
     h = prng.mix64(h ^ prng.mix64(prng.float_bits(weight)))
     chain = (state.ledger_chain, idx, weight)

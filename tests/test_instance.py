@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ks2 import (
     Instance,
     instance,
+    prng,
     check_subset,
     gen_planted,
     gen_random,
@@ -125,6 +126,24 @@ class TestGenerators:
     def test_gen_planted_rank_deficient(self):
         with pytest.raises(DegenerateSample):
             gen_planted(4, 2, seed=1)
+
+    @pytest.mark.parametrize("d,seed", [(3, 385), (4, 1940)])
+    def test_square_draw_missing_the_tolerance_is_whitened_again(self, d, seed):
+        # One whitening of these m = d draws misses iso_tol = 1e-9 (1.17e-9
+        # and 1.5e-8); a second one lands near 1e-15.
+        once = instance._whiten(instance._gaussian_rows(
+            prng.Stream(prng.derive_key(seed, prng.TAG_GEN_RANDOM, d, d)), d, d), 1.0)
+        assert Instance(once).isotropy_deviation() > 1e-9
+        inst = gen_random(d, d, seed=seed)
+        assert inst.validated and inst.isotropy_deviation() <= 1e-12
+        with pytest.raises(DegenerateSample):
+            gen_random(d, d - 1, seed=seed)
+
+    @pytest.mark.parametrize("d,m,seed", [(3, 3, 0), (3, 10, 1), (10, 4000, 3)])
+    def test_draw_within_tolerance_is_whitened_once(self, d, m, seed):
+        once = instance._whiten(instance._gaussian_rows(
+            prng.Stream(prng.derive_key(seed, prng.TAG_GEN_RANDOM, d, m)), m, d), 1.0)
+        assert gen_random(d, m, seed=seed).vectors.tobytes() == once.tobytes()
 
     def test_gen_random_one_dimensional(self):
         inst = gen_random(1, 4, seed=7)

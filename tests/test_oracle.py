@@ -508,9 +508,9 @@ class TestFlipGenerators:
 
 
 def _random_rows(draw, d, r):
-    """gen_random(d, r) rows for a drawn seed.  A draw whose whitening misses
-    the isotropy tolerance (DegenerateSample, as for gen_random(3, 3, seed=385))
-    is rejected: these strategies test the cuts, not the generator."""
+    """gen_random(d, r) rows for a drawn seed.  A draw that gen_random cannot
+    whiten (DegenerateSample: a near-singular sample with r = d) is rejected:
+    these strategies test the cuts, not the generator."""
     try:
         return gen_random(d, r, seed=draw(st.integers(0, 2**16))).vectors
     except DegenerateSample:

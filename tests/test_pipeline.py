@@ -7,12 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ks2
-from ks2 import check_subset, load_instance, load_subset, solve
+from ks2 import check_subset, gen_random, load_instance, load_subset, solve
 from ks2.oracle import branch_bound_w, brute_force_w
 from ks2.reduction import F_SAT3, emit_dimacs, ks_form_to_instance
+
+from reference_sparsifier import reference_stream
 
 
 def ks_cmd():
@@ -163,22 +166,27 @@ def test_solver_layers_script_times_against_a_checkout(tmp_path):
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "BENCH_solver.json"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    name = "gen_random(3, 14, seed=3), mu=1"
+    name, drawing = "gen_random(3, 14, seed=3), mu=1", "gen_random(3, 16, seed=2), c=0.05, mu=1"
     proc = subprocess.run([sys.executable, str(root / "scripts" / "solver_layers.py"),
-                           "--reps", "1", "--against", str(root),
-                           "--instances", "gen_planted(5, 8, seed=0)", name, "--out", str(out)],
+                           "--reps", "1", "--against", str(root), "--instances",
+                           "gen_planted(5, 8, seed=0)", name, drawing, "--out", str(out)],
                           capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert report.keys() == {"instances", "machine", "peak_rss_mb"}
     planted, mu1 = report["instances"]["gen_planted(5, 8, seed=0)"], report["instances"][name]
+    drew = report["instances"][drawing]
     # The certified run eigensolves its gates and prunes but makes no shifted
     # solve and no draw; the mu = 1 run samples, and finds its subset before
     # it expands a node with p < 1, so it draws nothing.
     assert planted["certified"] and planted["margin"] >= 1.0
     assert planted["shifted_solves"] == planted["uniform_draws"] == 0
     assert not mu1["certified"] and mu1["shifted_solves"] > 0 and mu1["uniform_draws"] == 0
-    for rec in (planted, mu1):
+    # The c = 0.05 run expands nodes with p < 1 before it finds its subset.
+    assert drew["status"] == "found" and not drew["certified"] and drew["uniform_draws"] > 0
+    assert (planted["forced_mu"], mu1["forced_mu"], drew["forced_mu"]) == (False, True, True)
+    assert "(forced mu, outside the paper's theorem)" in proc.stdout
+    for rec in (planted, mu1, drew):
         # Every node above a search's depth that survives the filter is
         # pruned or expanded after one prune eigensolve of two matrices;
         # only expanded nodes make shifted solves.
@@ -189,3 +197,34 @@ def test_solver_layers_script_times_against_a_checkout(tmp_path):
         assert rec["reps"] == rec["against"]["reps"] == rec["against"]["rounds"] == 1
         assert rec["against"]["rounds_this_faster"] in (0, 1)
         assert rec["us_per_node"] == pytest.approx(rec["wall_median_s"] * 1e6 / rec["nodes"])
+
+
+def test_sparsifier_layers_script_writes_bench(tmp_path):
+    # --against this checkout itself: the other side's counts and ledger
+    # hash are its own.
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "BENCH_sparsifier.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    name = "gen_random(10, 4000, seed=0)"
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "sparsifier_layers.py"),
+                           "--reps", "1", "--instances", name, "--against", str(root),
+                           "--out", str(out)],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report.keys() == {"instances", "machine", "peak_rss_mb"}
+    assert list(report["instances"]) == [name] and report["peak_rss_mb"] > 0
+    rec = report["instances"][name]
+    # One shifted solve per observe; most draws have p < 1.
+    assert rec["keeps"] + rec["skips"] == rec["shifted_solves"] == rec["m"] == 4000
+    assert 0 < rec["saturated_keeps"] < rec["keeps"] and rec["skips"] > 0
+    for key in ("keeps", "skips", "saturated_keeps", "shifted_solves", "ledger_hash"):
+        assert rec["against"][key] == rec[key]
+    _, ledger, h = reference_stream(gen_random(10, 4000, seed=0).vectors,
+                                    np.random.default_rng(0).random(4000), 0.5, 0.05)
+    assert (rec["keeps"], rec["ledger_hash"]) == (len(ledger), f"{h:016x}")
+    assert rec["reps"] == rec["against"]["reps"] == rec["against"]["rounds"] == 1
+    assert rec["wall_iqr_s"] == 0 and rec["wall_min_s"] == rec["wall_median_s"]
+    assert rec["us_per_observe"] == pytest.approx(rec["wall_median_s"] * 1e6 / 4000)
+    assert rec["against"]["us_per_observe"] == pytest.approx(
+        rec["against"]["wall_median_s"] * 1e6 / 4000)

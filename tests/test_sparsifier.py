@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ks2 import gen_random
-from ks2.errors import BadParams, DegenerateDimension, InvalidVector
+from ks2.errors import BadParams, DegenerateDimension, InvalidVector, SingularSystem
 from ks2.linalg import SymMatrix, psd_sandwich_check
 from ks2.prng import Stream, derive_key
 from ks2.sparsifier import (
@@ -71,6 +71,74 @@ class TestSampleProbability:
         st = new_state(2, 1.0, 1.0)
         with pytest.raises(InvalidVector):
             sample_probability(st, np.array([np.inf, 0.0]))
+
+
+def _grown_state(d, steps=40):
+    """A d-dimensional state after `steps` observes, so that B is not diagonal."""
+    inst = gen_random(d, 4 * d * d, seed=d)
+    st = new_state(d, 0.5, 0.05)
+    u = Stream(derive_key(d, 4000))
+    for i in range(steps):
+        st, _ = observe(st, i, inst.vectors[i], u.uniform())
+    return st, inst.vectors[steps]
+
+
+class TestErrorContract:
+    """sample_probability scans v for a non-finite entry only when the
+    quadratic form is not finite; the errors and their order are those of an
+    up-front check: shape, then finiteness, then DegenerateDimension."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_non_finite_entry_raises(self, bad, where):
+        st, v = _grown_state(5)
+        v = v.copy()
+        v[where] = bad
+        with pytest.raises(InvalidVector, match="non-finite"):
+            sample_probability(st, v)
+        with pytest.raises(InvalidVector, match="non-finite"):
+            observe(st, 0, v, 0.5)
+
+    def test_huge_finite_vector_saturates(self):
+        # The quadratic form overflows to inf, but v is finite: p = 1.
+        st, v = _grown_state(5)
+        with np.errstate(over="ignore"):
+            assert sample_probability(st, 1e200 * v) == 1.0
+            assert sample_probability(new_state(3, 0.5, 0.05), np.full(3, 1e200)) == 1.0
+
+    def test_non_finite_entry_comes_before_a_failed_solve(self):
+        st = dataclasses.replace(new_state(2, 1.0, 1.0), b=SymMatrix.from_array(-2.0 * np.eye(2)))
+        with pytest.raises(SingularSystem):
+            sample_probability(st, np.array([1.0, 0.0]))
+        with pytest.raises(InvalidVector):
+            sample_probability(st, np.array([1.0, np.nan]))
+
+    def test_one_dimensional_state(self):
+        st = new_state(1, 1.0, 1.0)
+        with pytest.raises(DegenerateDimension):
+            sample_probability(st, np.array([2.0]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidVector):
+                sample_probability(st, np.array([bad]))
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), (1, 5), ()])
+    def test_wrong_shape_raises(self, shape):
+        st, _ = _grown_state(5)
+        with pytest.raises(InvalidVector, match="shape"):
+            sample_probability(st, np.ones(shape))
+        with pytest.raises(InvalidVector, match="shape"):
+            sample_probability(st, np.full(shape, np.nan))
+
+    def test_list_vector_is_accepted(self):
+        st, v = _grown_state(5)
+        assert sample_probability(st, v.tolist()) == sample_probability(st, v)
+
+    def test_skip_returns_the_same_state(self):
+        st = dataclasses.replace(new_state(2, 1.0, 1.0),
+                                 b=SymMatrix.from_array(100.0 * np.eye(2)))
+        assert sample_probability(st, np.array([0.01, 0.0])) < 0.5
+        st2, sampled = observe(st, 0, np.array([0.01, 0.0]), u=0.5)
+        assert not sampled and st2 is st
 
 
 class TestObserve:
@@ -174,6 +242,23 @@ def test_long_stream_matches_reference():
     assert st.ledger == ledger and st.sample_count == len(ledger)
     assert st.ledger_hash == h
     assert len(ledger) < 4000 and max(w for _, w in ledger) > 1.0
+
+
+@pytest.mark.parametrize("mu", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_short_stream_matches_reference(d, mu):
+    # m = 40 d^2 vectors: long enough that later draws have p < 1 at every
+    # (d, mu), so keeps at weight above 1 and skips both occur.
+    m = 40 * d * d
+    inst = gen_random(d, m, seed=d)
+    draws = np.random.default_rng(d).random(m)
+    st = new_state(d, mu, 0.05)
+    for i, (v, u) in enumerate(zip(inst.vectors, draws)):
+        st, _ = observe(st, i, v, float(u))
+    b, ledger, h = reference_stream(inst.vectors, draws, mu, 0.05)
+    assert st.b.a.tobytes() == b.tobytes()
+    assert st.ledger == ledger and st.ledger_hash == h
+    assert len(ledger) < m and max(w for _, w in ledger) > 1.0
 
 
 def test_sandwich_statistics_smoke():
