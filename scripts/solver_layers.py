@@ -38,7 +38,7 @@ if __name__ == "__main__":  # a timing child has already put its checkout's src/
     sys.path.insert(0, str(ROOT / "src"))
 
 import layers
-from ks2 import prng, solver
+from ks2 import oracle, prng, solver
 from ks2.instance import Instance, gen_planted, gen_random
 
 
@@ -70,10 +70,12 @@ def counted(name):
     """One solve with its eigensolves, shifted solves and draws counted.
 
     An eigensolve of a stack that Instance.grams made is the gate's, or the
-    saturation margin's one matrix; every other is the prune's."""
+    saturation margin's one matrix; every other, made by the search
+    (oracle.band_search), is the prune's."""
     eig, solves, draws, made = [], [], [], [None]
-    real = {"eig_extremes_stack": solver.eig_extremes_stack,
-            "stack_probabilities": solver.stack_probabilities}
+    real = {(solver, "eig_extremes_stack"): solver.eig_extremes_stack,
+            (oracle, "eig_extremes_stack"): oracle.eig_extremes_stack,
+            (solver, "stack_probabilities"): solver.stack_probabilities}
     real_grams, real_draw = Instance.grams, prng.first_uniforms
 
     def grams_kept(inst, members):
@@ -82,24 +84,24 @@ def counted(name):
 
     def eig_counted(stack):
         eig.append((len(stack), stack is made[0]))
-        return real["eig_extremes_stack"](stack)
+        return real[solver, "eig_extremes_stack"](stack)
 
     def solves_counted(sums, *args):
         solves.append(len(sums))
-        return real["stack_probabilities"](sums, *args)
+        return real[solver, "stack_probabilities"](sums, *args)
 
     def draws_counted(seed, path, last):
         draws.append(len(last))
         return real_draw(seed, path, last)
 
-    for attr, fn in (("eig_extremes_stack", eig_counted), ("stack_probabilities", solves_counted)):
-        setattr(solver, attr, fn)
+    for (module, attr), fn in zip(real, (eig_counted, eig_counted, solves_counted)):
+        setattr(module, attr, fn)
     Instance.grams, prng.first_uniforms = grams_kept, draws_counted
     try:
         out = _run(name)
     finally:
-        for attr, fn in real.items():
-            setattr(solver, attr, fn)
+        for (module, attr), fn in real.items():
+            setattr(module, attr, fn)
         Instance.grams, prng.first_uniforms = real_grams, real_draw
     gated = sum(n for n, gram in eig if gram) - 1
     return out, {"gate_matrices": gated, "prune_matrices": sum(n for n, gram in eig if not gram),

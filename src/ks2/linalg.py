@@ -109,8 +109,8 @@ def rounding_eta(vectors: np.ndarray) -> float:
     """eta = (m + 64 d^2 + 2) 2^-53 (2T + 1) of (m, d) rows, T the computed sum
     of squares of their entries: the most by which an eigenvalue that
     eig_extremes_stack computes for a summed subset of the rows' outer
-    products, or that value less 1/2, errs (ks2.oracle docstring, Rounding).
-    inf once 2T + 1 overflows."""
+    products, or that value less a centre c with |c| <= 2, errs (ks2.oracle
+    docstring, Rounding).  inf once 2T + 1 overflows."""
     m, d = vectors.shape
     return (m + 64 * d * d + 2) * 2.0 ** -53 * (2 * float(np.sum(vectors * vectors)) + 1)
 

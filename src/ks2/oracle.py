@@ -14,36 +14,38 @@ prunes high in the tree.  On 80 gen_random(5, 20) instances the search
 evaluated a median of about 400 of the 2^20 leaves (1,500 at most), and in
 input order it was slower on every one, three times at the median.
 
-The search is depth-first over blocks of up to _BLOCK nodes of one depth
-held as arrays.  Partial sums are built by the same elementwise additions as
-a one-node-at-a-time search, and a stacked eigensolve equals the per-matrix
-one bit for bit, so every value it computes is the value that search
-computes; blocking changes only the visiting order, the number of leaves
-evaluated and, among ties, the argmin.
+The search is band_search, shared with ks2.solver: depth first over blocks
+of up to _BLOCK nodes of one depth held as arrays.  Partial sums are built
+by the same elementwise additions as a one-node-at-a-time search, and a
+stacked eigensolve equals the per-matrix one bit for bit, so every value is
+that search's; blocking changes only the visiting order, the number of
+leaves evaluated and, among ties, the argmin.
 
-Bounds as intervals.  The prune test reads two computed values of a node at
-depth i, h = lambda_max(P) - 1/2 and l = 1/2 - lambda_min(P + R_i), and keeps
-the node when max(h, l, 0) < w, w the incumbent.  Each node carries an
-interval [a, b] for each value and computes the value only when the interval
-straddles w (a < w <= b); otherwise b < w or a >= w gives the test's answer.
-h goes first, so a node that it drops never computes l.  The root's
-intervals are [-inf, inf].  A kept node passes to its children, with
-s = |v_i|^2 and slack 3 eta (eta as under Rounding below):
-  * the exclude child (P, R_i+1) keeps h's [a, b] and takes l's as
+Bounds as intervals.  band_search keeps a node at depth k while
+max(h, l, 0) < width for the computed h = lambda_max(P + F) - high and
+l = low - lambda_min(P + R_k), band [low, high, width] and F a fixed term;
+the oracle's F is 0 and its band [1/2, 1/2, w], w the incumbent.  Each node
+carries an interval [a, b] for each value and computes the value only when
+the interval straddles width (a < width <= b); otherwise b < width or
+a >= width gives the test's answer.  h goes first, so a node that it drops
+never computes l.  The root's intervals are [-inf, inf].  A kept node
+passes to its children, with s = |v_k|^2 and slack 3 eta (eta as under
+Rounding below):
+  * the exclude child (P, R_k+1) keeps h's [a, b] and takes l's as
     [a - 3 eta, b + s + 3 eta];
-  * the include child (P + v_i v_i^T, R_i+1) takes h's as
+  * the include child (P + v_k v_k^T, R_k+1) takes h's as
     [a - 3 eta, b + s + 3 eta] and l's as [a - 3 eta, b + 3 eta].
 A computed value lies in its interval, by induction over depth.  The exclude
 child's P is its parent's array, so its h is its parent's.  Otherwise let c,
 c' be the parent's and child's computed values and e, e' the same values for
 the exact A_S; |c - e| and |c' - e'| are at most eta.  Adding the PSD
-v_i v_i^T raises no eigenvalue and none by more than s (Weyl), so e' - e lies
-in [0, s] for the include child's h (A_S + v_i v_i^T) and for the exclude
-child's l (A_S + R_i+1 = A_S + R_i - v_i v_i^T), and the include child's l
-has e' = e, as A_S + v_i v_i^T + R_i+1 = A_S + R_i.  So c' lies in
-[c - 2 eta, c + s + 2 eta], or [c - 2 eta, c + 2 eta], with c in the
+v_k v_k^T raises no eigenvalue and none by more than s (Weyl), so e' - e lies
+in [0, s] for the include child's h (A_S + v_k v_k^T + F) and for the
+exclude child's l (A_S + R_k+1 = A_S + R_k - v_k v_k^T), and the include
+child's l has e' = e, as A_S + v_k v_k^T + R_k+1 = A_S + R_k.  So c' lies
+in [c - 2 eta, c + s + 2 eta], or [c - 2 eta, c + 2 eta], with c in the
 parent's [a, b].  The third eta covers rounding in the ends: each stays
-below 2 N + 2 + 3 m eta in magnitude, so the computed s and the two
+below 2 N + 3 + 3 (m + 1) eta in magnitude, so the computed s and the two
 additions that make an end err by far less than eta.  Every keep or prune is
 therefore the one made by computing every value (tests/reference_oracle.py
 keeps that search), and so are the nodes, the cuts, the leaves, the minimum
@@ -86,7 +88,7 @@ repeat every vector and are cut by the transpositions alone.
 
 Rounding.  Let u = 2^-53 and T the computed sum of squares of all entries, so
 N = 2T >= sum_k ||v_k||^2 >= ||A_S||_2 for every S.
-  * Every matrix the search eigensolves (P, P + R_i, a leaf's sum), and the
+  * Every matrix the search eigensolves (P + F, P + R_k, a leaf's sum), and the
     Gram behind subset_distance, is a floating-point sum M of the rounded
     products v_ki v_kj over some S, at most m terms an entry, so
     |M - A_S| <= gamma_m sum_{k in S} |v_k| |v_k|^T entrywise and
@@ -98,8 +100,9 @@ N = 2T >= sum_k ||v_k||^2 >= ||A_S||_2 for every S.
     ed., sec. 19.3; LAPACK Users' Guide sec. 4.7).  We take p(d) = 64 d^2.
     By Weyl's inequality each computed eigenvalue of M is within
     (gamma_m + p(d) u (1 + gamma_m)) N of the exact one of A_S.
-  * Each subtraction of 1/2 errs by at most u (N + 1); max, min and the
-    comparisons are exact.
+  * Each subtraction of a centre c, |c| <= 2 (1/2 here; the solver's band
+    ends are within 2 + 2 eta of 0, a second-order 2 u eta more), errs by at
+    most u (N + 2) <= 2 u (N + 1); max, min and the comparisons are exact.
 So each computed bound and deviation is within eta = (m + 64 d^2 + 2) u
 (2T + 1) of its exact value, the margin covering second-order terms.  An exact
 bound is at most the exact deviation of every leaf below its node, so a
@@ -120,7 +123,7 @@ returned subset (input indices), so w never carries accumulator rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -343,8 +346,8 @@ def _lex_weights(perms: np.ndarray, lengths: np.ndarray, m: int) -> np.ndarray:
     first L = lengths[e] positions: piece q of a membership row x times
     column e is sum (x_j - x_g(j)) 2^-(j - q _PIECE) over the positions j < L
     in [q _PIECE, (q + 1) _PIECE)."""
-    weights = np.zeros((m, -(-lengths.max() // _PIECE), len(perms)))
-    e, j = np.nonzero(np.arange(lengths.max()) < lengths[:, None])
+    weights = np.zeros((m, -(-lengths.max(initial=0) // _PIECE), len(perms)))
+    e, j = np.nonzero(np.arange(lengths.max(initial=0)) < lengths[:, None])
     power = (2.0 ** -np.arange(_PIECE))[j % _PIECE]
     # (j, e) pairs are distinct, and so are (g(j), e) pairs: no index repeats.
     weights[j, j // _PIECE, e] = power
@@ -362,93 +365,113 @@ def _lex_greater(member: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (sign > 0).any(axis=1)
 
 
+def band_search(outers: np.ndarray, root: tuple, band: list, eta: float, drop: Callable,
+                split: Optional[Callable] = None, lex: bool = False) -> Iterator[list]:
+    """Depth-first search that yields its blocks of depth-n nodes, n = len(outers) - 1.
+
+    A block row is a node: its sum P of outers[:n] (outers[k] added in an
+    include child at depth k), membership row and state arrays, begun from
+    root.  A node above depth n stays while max(h, l, 0) < width (Bounds as
+    intervals, module docstring; F = outers[n], band = [low, high, width],
+    which the caller may change between yields, eta the rounding bound).
+    drop(k, block) sees each popped block first and masks the nodes to keep
+    (None: all); split(k, block) masks the kept nodes that keep their
+    exclude child and gives their include children's state, else the
+    parent's.  A block's exclude children precede its include children, or
+    with lex each parent's two are adjacent and blocks pop in lex order, in
+    blocks of _BLOCK nodes pushed so that the first pops first."""
+    n = len(outers) - 1
+    forced = outers[n] if outers[n].any() else None  # P + 0 is P: skip the add
+    suffix = np.cumsum(outers[::-1], axis=0)[::-1]  # suffix[k] = R_k
+    # grow[k, c] is added to a kept node's [lower, upper] of (h, l) to give
+    # its exclude (c = 0) or include (c = 1) child's, exclude children first.
+    squares, slack = np.einsum("kii->k", outers[:n]), 3 * eta
+    grow = np.empty((n, 2, 1, 2, 2))
+    grow[...] = -slack, slack
+    grow[:, 0, 0, 0] = 0.0  # the exclude child keeps P, so its h
+    grow[:, 0, 0, 1, 1] += squares  # P + R_k+1 = P + R_k - outers[k]
+    grow[:, 1, 0, 0, 1] += squares  # P + outers[k]
+    stack = [(0, root, np.array([[[-np.inf, np.inf]] * 2]))]
+    while stack:
+        k, block, bounds = stack.pop()
+        keep = drop(k, block)
+        if keep is not None:
+            block, bounds = [a[keep] for a in block], bounds[keep]
+            if not len(bounds):
+                continue
+        if k == n:
+            yield block
+            continue
+        low, high, width = band
+        if not width > 0:  # max(.., 0) < width fails for every node
+            continue
+        p, lower, upper = block[0], bounds[..., 0], bounds[..., 1]
+        open_ = ~((upper < width) | (lower >= width))
+        solve = open_[:, 0]
+        if np.count_nonzero(solve):
+            top = p[solve] if forced is None else p[solve] + forced
+            bounds[solve, 0] = (eig_extremes_stack(top)[1] - high)[:, None]
+        keep = upper[:, 0] < width
+        solve = keep & open_[:, 1]
+        if np.count_nonzero(solve):
+            bounds[solve, 1] = (low - eig_extremes_stack(p[solve] + suffix[k])[0])[:, None]
+        keep &= upper[:, 1] < width
+        block, bounds = [a[keep] for a in block], bounds[keep]
+        if not len(bounds):
+            continue
+        p, member, *state = block
+        excl, fresh = (None, state) if split is None else split(k, block)
+        size = len(bounds)
+        children = [np.concatenate(pair) for pair in zip(block, (p + outers[k], member, *fresh))]
+        children[1][size:, k] = True
+        bounds = (bounds + grow[k]).reshape(-1, 2, 2)
+        if lex or excl is not None:
+            pick = np.arange(2 * size).reshape(2, size)
+            pick = (pick.T if lex else pick).ravel()
+            pick = pick if excl is None else pick[(pick >= size) | excl[pick % size]]
+            children, bounds = [a[pick] for a in children], bounds[pick]
+        for s in reversed(range(0, len(bounds), _BLOCK)):
+            stack.append((k + 1, [a[s:s + _BLOCK] for a in children], bounds[s:s + _BLOCK]))
+
+
 def _bb_search(inst: Instance, node_limit: Optional[int]
                ) -> tuple[float, tuple[int, ...], int, int, int]:
-    """Blocked depth-first search over the vectors in the order given:
-    (minimum deviation found, its subset, leaves, popped nodes, nodes cut).
-
-    A block is (depth i, partial sums P (L, d, d), membership (L, m), bounds
-    (L, 2, 2)): bounds[:, 0] and bounds[:, 1] are [lower, upper] enclosures
-    of the computed hi - 1/2 = lambda_max(P) - 1/2 and 1/2 - lo =
-    1/2 - lambda_min(P + R_i); at depth m they are not used.
-    """
+    """band_search over the vectors in the order given, with F = 0 and the
+    band [1/2, 1/2, w] for the incumbent w, its lex-leader cuts as drop:
+    (minimum deviation found, its subset, leaves, popped nodes, nodes cut)."""
     vectors = inst.vectors
     m, d = vectors.shape
-    outers = vectors[:, :, None] * vectors[:, None, :]
-    suffix = np.zeros((m + 1, d, d))
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + outers[i]
-    # grow[i, c] is added to a kept node's [lower, upper] of (hi - 1/2,
-    # 1/2 - lo) to give its exclude (c = 0) or include (c = 1) child's.
-    slack = 3 * rounding_eta(vectors)
-    squares = (vectors * vectors).sum(axis=1)
-    grow = np.empty((m, 2, 2, 2))
-    grow[...] = -slack, slack
-    grow[:, 0, 0] = 0.0  # the exclude child keeps P, so its hi
-    grow[:, 0, 1, 1] += squares  # P + R_i+1 = P + R_i - v_i v_i^T
-    grow[:, 1, 0, 1] += squares  # P + v_i v_i^T
-    # lex[i] holds the lex weights of the permutations whose decided prefix,
-    # the first L positions j with j < i and g(j) < i, grows at depth i: to
-    # L = j + 1 at depth reach + 1 wherever reach = max(g(0), 0, ..., g(j), j)
-    # rises after position j.
+    outers = np.concatenate((vectors[:, :, None] * vectors[:, None, :], np.zeros((1, d, d))))
+    # cuts[i]: the lex weights of each g whose decided prefix (the positions
+    # j < i with g(j) < i) grows at depth i, to j + 1 at depth reach + 1 where
+    # reach = max(g(0), 0, ..., g(j), j) rises after j.
     perms = np.array(_cut_permutations(vectors), dtype=np.intp).reshape(-1, m)
     reach = np.maximum.accumulate(np.maximum(perms, np.arange(m)), axis=1)
     e, j = np.nonzero(np.diff(reach, axis=1, append=m))
-    order = np.argsort(reach[e, j], kind="stable")  # by depth, then permutation
-    depth = reach[e, j][order] + 1
-    lex: list[Optional[np.ndarray]] = [None] * (m + 1)
-    if len(order):
-        weights = _lex_weights(perms[e[order]], j[order] + 1, m)
-        starts = np.flatnonzero(np.diff(depth, prepend=0))
-        for a, b in zip(starts, np.append(starts[1:], len(depth))):
-            lex[depth[a]] = np.ascontiguousarray(weights[:, :, a:b])
-
-    best_w, best_row = np.inf, np.zeros(m, dtype=bool)
+    depth = reach[e, j] + 1
+    weights = _lex_weights(perms[e], j + 1, m)
+    cuts = {int(t): np.ascontiguousarray(weights[:, :, depth == t]) for t in np.unique(depth)}
     leaves = nodes = cut = 0
-    unknown = np.array([[[-np.inf, np.inf]] * 2])
-    stack = [(0, np.zeros((1, d, d)), np.zeros((1, m), dtype=bool), unknown)]
-    while stack:
-        i, p, member, bounds = stack.pop()
-        nodes += len(p)
+
+    def drop(i, block):
+        nonlocal nodes, cut
+        nodes += len(block[0])
         if node_limit is not None and nodes > node_limit:
             raise TooLarge(f"branch-and-bound exceeded node limit {node_limit}")
-        if lex[i] is not None:
-            keep = ~_lex_greater(member, lex[i])
-            if not keep.all():
-                cut += len(p) - int(np.count_nonzero(keep))
-                p, member, bounds = p[keep], member[keep], bounds[keep]
-                if not len(p):
-                    continue
-        if i == m:
-            dev = distance_half(*eig_extremes_stack(p))
-            t = int(np.argmin(dev))
-            leaves += len(p)
-            if dev[t] < best_w:
-                best_w, best_row = float(dev[t]), member[t]
-            continue
-        if not best_w > 0:  # max(.., 0) < best_w fails for every node
-            continue
-        # A value is computed only when its enclosure straddles the incumbent,
-        # hi first, so that a node the hi test drops needs no lambda_min.
-        lower, upper = bounds[..., 0], bounds[..., 1]
-        open_ = ~((upper < best_w) | (lower >= best_w))
-        solve = open_[:, 0]
-        if solve.any():
-            bounds[solve, 0] = (eig_extremes_stack(p[solve])[1] - 0.5)[:, None]
-        keep = upper[:, 0] < best_w
-        solve = keep & open_[:, 1]
-        if solve.any():
-            bounds[solve, 1] = (0.5 - eig_extremes_stack(p[solve] + suffix[i])[0])[:, None]
-        keep &= upper[:, 1] < best_w
-        p, member, bounds = p[keep], member[keep], bounds[keep]
-        # Exclude children first, cut into blocks pushed so the first pops first.
-        p = np.concatenate((p, p + outers[i]))
-        member = np.concatenate((member, member))
-        member[len(member) // 2:, i] = True
-        bounds = (bounds + grow[i, :, None]).reshape(-1, 2, 2)
-        for s in reversed(range(0, len(p), _BLOCK)):
-            stack.append((i + 1, p[s:s + _BLOCK], member[s:s + _BLOCK], bounds[s:s + _BLOCK]))
-    return best_w, tuple(np.flatnonzero(best_row).tolist()), leaves, nodes, cut
+        keep = None if i not in cuts else ~_lex_greater(block[1], cuts[i])
+        dropped = 0 if keep is None else len(keep) - int(np.count_nonzero(keep))
+        cut += dropped
+        return keep if dropped else None
+
+    band, best_row = [0.5, 0.5, np.inf], np.zeros(m, dtype=bool)
+    root = (np.zeros((1, d, d)), np.zeros((1, m), dtype=bool))
+    for p, member in band_search(outers, root, band, rounding_eta(vectors), drop):
+        dev = distance_half(*eig_extremes_stack(p))
+        t = int(dev.argmin())
+        leaves += len(p)
+        if dev[t] < band[2]:
+            band[2], best_row = float(dev[t]), member[t]
+    return band[2], tuple(np.flatnonzero(best_row).tolist()), leaves, nodes, cut
 
 
 def branch_bound_w(inst: Instance, node_limit: Optional[int] = None) -> OracleResult:

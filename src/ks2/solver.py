@@ -22,23 +22,18 @@ child depends only on its parent, v_k and the draw keyed by (seed, k,
 ledger hash), so the tree does not depend on the order of the walk, and as
 a keep lists the exclude child (S) first, each level lists its entries in
 lex order of their membership rows (position 0 most significant).  solve
-holds no level: search i, for i = 0, 1, ..., m-1, walks the tree to depth
-i depth first, excluding first, gates each depth-i node S as S + {i} by
-the gate's own call eig_extremes_stack(inst.grams(rows)), and stops at the
-first hit, the lex-least of the shallowest level.  It pops blocks of up to
-_BLOCK nodes of one depth, held as arrays: membership rows, partial sums P
-(the rounded v_j v_j^T over S, one added per include child) and, on the
-sampled path, the sparsifier sum B, the sample count and the ledger hash.
-A popped block is size-filtered, and one above depth i is pruned (below)
-and expanded, with one batched shifted solve and one vectorised draw for
-the nodes with 0 < p < 1 (a draw cannot change a keep at p = 1).  Each
-parent's two children stay adjacent, exclude child first, cut into blocks
-pushed so that the first pops first: blocks pop in lex order, and the
-stack holds about 2 m of them.  Every step is bit-identical to the
-per-entry path through sparsifier.observe, which tests/reference_solver.py
-keeps as the reference solver.  With collect_subsets, one more search with
-no forced vector (v_m = 0) walks to depth m, where nodes are neither
-filtered nor pruned: its depth-m nodes are the final level, final_subsets.
+holds no level: search i, for i = 0, 1, ..., m-1, is ks2.oracle.band_search
+over v_0, ..., v_i-1 with v_i forced in, in lex order.  It gates each
+depth-i node S as S + {i} by the gate's own call
+eig_extremes_stack(inst.grams(rows)) and stops at the first hit, the
+lex-least of the shallowest level.  On the sampled path a block also holds
+the sparsifier sum B, the sample count and the ledger hash; drop
+size-filters a popped block, and split draws with one batched shifted
+solve and one vectorised draw for the nodes with 0 < p < 1, bit for bit
+as the per-entry sparsifier.observe (tests/reference_solver.py keeps that
+reference solver).  With collect_subsets, one more search with no forced
+vector (v_m = 0) walks to depth m, where nodes are neither filtered nor
+pruned: its depth-m nodes are the final level, final_subsets.
 
 No two entries of a level ever hold the same ledger, so paths never need
 merging.  By induction: L_0 holds one ledger; each entry passes its ledger
@@ -47,30 +42,22 @@ only kind of ledger that contains index i, distinct for distinct L_j; the
 size filter only removes entries.  SolveStats.dedup_hits is kept in the
 output and always reads 0.
 
-Completion-bound pruning.  A node S at depth k of search i is dropped when
-no leaf below it can pass the gate.  Every set that search i gates below it
-is some G = S' + {i} with S <= S' <= S + {k, ..., i-1}, so A_{S+{i}} <= A_G
-<= A_{S+{k,...,i}} in the Loewner order.  Let u = 2^-53, T the computed sum
-of squares of all entries and eta = (m + 64 d^2 + 2) u (2T + 1).  The node
-eigensolves P + v_i v_i^T and P + v_k v_k^T + ... + v_i v_i^T; each, like
-the gate's Gram, is a floating-point sum of the rounded products v_ja v_jb
-over some set, at most m terms an entry, so each computed eigenvalue is
-within eta of the exact eigenvalue of that set's A, by the derivation in
-the ks2.oracle docstring (summation error gamma_m in any order, backward
-stability of LAPACK's eigensolver, Weyl's inequality).  With slack = 2 eta
-(rounding_slack):
-  * a computed lambda_max(P + v_i v_i^T) > hi_bound + slack gives exact
-    lambda_max(A_G) > hi_bound + eta, so the gate's computed hi for G
-    exceeds hi_bound;
-  * a computed lambda_min(P + v_k v_k^T + ... + v_i v_i^T) < lo_bound -
-    slack gives exact lambda_min(A_G) < lo_bound - eta, so the gate's
-    computed lo for G is below lo_bound.
-Either way no leaf below the node gates.  The prune never changes which
-nodes exist below the survivors, nor their draws, so search i gates every
-gate hit of L_i in lex order, and status, subset, report and final_subsets
-are those of the level-set search.  The collect pass prunes by the same
-rule with v_m = 0, which is the level rule: lambda_max(A_S) and
-lambda_min(A_{S + {k, ..., m-1}}).
+Completion-bound pruning.  Search i keeps a node S at depth k while the
+computed lambda_max(P + v_i v_i^T) <= hi_bound + 2 eta and lambda_min(P +
+v_k v_k^T + ... + v_i v_i^T) >= lo_bound - 2 eta, eta as in ks2.oracle's
+Rounding (rounding_slack is 2 eta): band [lo_bound - 2 eta, hi_bound +
+2 eta], width the least positive double, as x < 5e-324 exactly when x <= 0
+(Bounds as intervals, ks2.oracle docstring).  No gate hit is lost.  Every
+set that search i gates below S is some G = S' + {i} with S <= S' <= S +
+{k, ..., i-1}, so A_{S+{i}} <= A_G <= A_{S+{k,...,i}}, and every computed
+eigenvalue, the gate's too, lies within eta of the exact one.  So a computed
+lambda_max(P + v_i v_i^T) above hi_bound + 2 eta puts the exact
+lambda_max(A_G) above hi_bound + eta and the gate's computed hi above
+hi_bound; a computed lambda_min below lo_bound - 2 eta likewise puts the
+gate's lo below lo_bound.  The prune changes neither the nodes below the
+survivors nor their draws, so search i gates every gate hit of L_i in lex
+order, and status, subset, report and final_subsets are those of the
+level-set search.  The collect pass prunes by the same rule with v_m = 0.
 
 Certified saturation.  Let Lam = lambda_max(A_all) exactly, t its computed
 value (|t - Lam| <= eta, by one eigensolve), lam the ridge,
@@ -138,10 +125,10 @@ from . import prng
 from .errors import InfeasibleParameters, InternalInvariantError, TooLarge
 from .instance import Instance, SubsetReport, check_subset, validate
 from .linalg import eig_extremes_stack, rounding_eta
+from .oracle import band_search
 from .sparsifier import budget, fold_ledger_hashes, new_state, stack_probabilities
 
 DEFAULT_LEVEL_CONSTANT = 40.0
-_BLOCK = 128  # nodes per search block
 
 
 @dataclass(frozen=True)
@@ -282,6 +269,7 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
     lo_bound = (1.0 - epsilon) * (0.5 - ca)
     hi_bound = (1.0 + epsilon) * (0.5 + ca)
     slack = rounding_slack(inst)
+    band = [lo_bound - slack, hi_bound + slack, 5e-324]  # x < 5e-324 exactly when x <= 0
     root = new_state(d, params.mu, params.delta)  # checks mu and delta on either path
     budget(d, params.mu)  # d = 1 has no sampling budget: raise before any search
     certified = saturation_margin(inst, params) >= 1.0
@@ -294,57 +282,46 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
     outers[:m] = inst.vectors[:, :, None] * inst.vectors[:, None, :]
 
     def search(i):
-        """Search i of the module docstring: the membership blocks of its
-        depth-i nodes, in lex order."""
-        tails = np.cumsum(outers[i::-1], axis=0)[::-1]  # tails[k] = v_k v_k^T + ... + v_i v_i^T
-        stack = [(0, roots)]
-        while stack:
-            k, block = stack.pop()
-            p, n = block[0], len(block[0])
+        """Search i of the module docstring: its depth-i blocks, in lex order."""
+
+        def drop(k, block):
+            """Count the popped nodes and size-filter them; above depth i the
+            kept ones count as pruned until split takes them back."""
+            n = len(block[0])
             stats.nodes += n
             if node_limit is not None and stats.nodes > node_limit:
                 raise TooLarge(f"solve exceeded node limit {node_limit}")
-            keep = np.full(n, True) if certified or k == m else block[3] <= params.n
-            stats.size_filtered += n - int(np.count_nonzero(keep))
+            keep = None if certified or k == m else block[3] <= params.n
+            kept = n if keep is None else int(np.count_nonzero(keep))
+            stats.size_filtered += n - kept
             if k < i:
-                p = p[keep]
-                lo, hi = eig_extremes_stack(np.concatenate((p + outers[i], p + tails[k])))
-                live = ~((hi[:len(p)] > hi_bound + slack) | (lo[len(p):] < lo_bound - slack))
-                stats.pruned += int(np.count_nonzero(~live))
-                keep[keep] = live
-            if not keep.any():
-                continue
-            block = tuple(a[keep] for a in block)
-            if k == i:
-                yield block[1]
-                continue
-            kept = np.full(len(block[0]), True)  # certified: p = 1.0 exactly, weight 1
-            if not certified:
-                prob = stack_probabilities(block[2], root.mu, root.shift, inst.vectors[k])
-                kept = prob >= 1.0
-                part = np.flatnonzero((prob > 0.0) & (prob < 1.0))
-                kept[part] = prng.first_uniforms(seed, (prng.TAG_SOLVER, k),
-                                                 block[4][part]) <= prob[part]
-            # Children in lex order: a keep emits (S, old) then (S', new), a
-            # skip emits (S', old); either way S' is the node's last child.
-            parent = np.repeat(np.arange(len(kept)), 1 + kept)
-            last = np.cumsum(1 + kept) - 1
-            block = tuple(a[parent] for a in block)
-            block[0][last] += outers[k]
-            block[1][last, k] = True
-            if not certified:
-                fresh, weights = last[kept], 1.0 / prob[kept]
-                block[2][fresh] += weights[:, None, None] * outers[k]
-                block[3][fresh] += 1
-                block[4][fresh] = fold_ledger_hashes(block[4][fresh], k, weights)
-            for s in reversed(range(0, len(parent), _BLOCK)):
-                stack.append((k + 1, tuple(a[s:s + _BLOCK] for a in block)))
+                stats.pruned += kept
+            return keep if kept < n else None
+
+        def split(k, block):
+            """The draws: a keep has both children, (S, old) then (S', new), a
+            skip only (S', old); certified, p = 1.0 and no state is carried."""
+            stats.pruned -= len(block[0])
+            if certified:
+                return None, ()
+            prob = stack_probabilities(block[2], root.mu, root.shift, inst.vectors[k])
+            kept = prob >= 1.0
+            part = np.flatnonzero((prob > 0.0) & (prob < 1.0))
+            kept[part] = prng.first_uniforms(seed, (prng.TAG_SOLVER, k),
+                                             block[4][part]) <= prob[part]
+            b, ledger = block[2].copy(), block[4].copy()
+            weights = 1.0 / prob[kept]
+            b[kept] += weights[:, None, None] * outers[k]
+            ledger[kept] = fold_ledger_hashes(ledger[kept], k, weights)
+            return kept, (b, block[3] + kept, ledger)
+
+        return band_search(outers[:i + 1], roots, band, slack / 2, drop, split, lex=True)
 
     for i in range(m):
         stats.levels_processed += 1
         gated = 0
-        for member in search(i):
-            rows = member | (np.arange(m) == i)
+        for block in search(i):
+            rows = block[1] | (np.arange(m) == i)
             lo, hi = eig_extremes_stack(inst.grams(rows))
             gated += len(rows)
             stats.peak_level_size = max(stats.peak_level_size, gated)
@@ -357,6 +334,6 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
                         f"gated subset {hit} fails the band on independent recheck")
                 return SolveOutcome("found", report.subset, report, stats)
 
-    final = ([tuple(np.flatnonzero(row).tolist()) for member in search(m) for row in member]
+    final = ([tuple(np.flatnonzero(row).tolist()) for block in search(m) for row in block[1]]
              if collect_subsets else None)
     return SolveOutcome("not-found", None, None, stats, final_subsets=final)

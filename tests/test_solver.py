@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ks2 import Instance, check_subset, gen_planted, gen_random, prng, sparsifier, validate
 from ks2 import solver as solver_module
 from ks2.errors import (BadParams, DegenerateDimension, InfeasibleParameters, NotIsotropic,
                         TooLarge)
+from ks2.instance import SubsetReport
 from ks2.linalg import eig_extremes_stack
-from ks2.solver import derive_params, rounding_slack, saturation_margin, solve
+from ks2.solver import SolveStats, derive_params, rounding_slack, saturation_margin, solve
 
 from conftest import bound_survivors, gram_families, stress_instance
 from reference_solver import reference_solve
@@ -478,3 +480,137 @@ def test_invalid_mu_raises_before_the_certificate():
     for fn in (solve, reference_solve):
         with pytest.raises(BadParams):
             fn(inst, 0.1, 0.1, 0, params_override=params)
+
+
+# --- exact outcomes, pinned ----------------------------------------------------
+
+# name -> (instance, c, epsilon, seed, kind of run, want), every run with
+# collect_subsets; want is (status, subset, (lambda_min, lambda_max,
+# satisfies_eq1) of the report, the SolveStats fields in order,
+# final_subsets), or the TooLarge message.  The values were computed by the
+# solver's own search loop before it became band_search.  Runs of kind ""
+# take the derived parameters (certified), "mu1" force mu = 1 and draw,
+# "mu1n3" also set n = 3 so that the size filter fires, and the "limit"
+# kinds stop at a node limit.  The band-edge runs take the epsilon that puts
+# the band's low end exactly on a computed lambda_min(P + R_k) of a kept
+# node, where an include child's value, summed in another order, can fall on
+# either side of it: only the intervals' 3 eta slack sends it to an
+# eigensolve, as computing every value would.
+PINNED = {
+    "planted-5-8-0": (lambda: gen_planted(5, 8, seed=0)[0], 0.1, 0.3, 0, "",
+        ("found", (1, 3, 5, 7, 9, 11, 12), (0.3093990157680674, 0.5000000000000009, False),
+         (13, 128, 0, 117, 0, 543), None)),
+    "planted-5-8-1": (lambda: gen_planted(5, 8, seed=1)[0], 0.1, 0.3, 1, "",
+        ("found", (3, 5, 7, 9, 11, 13, 14), (0.4066081290294494, 0.4999999999999998, False),
+         (15, 128, 0, 255, 0, 1045), None)),
+    "planted-5-8-2": (lambda: gen_planted(5, 8, seed=2)[0], 0.1, 0.3, 2, "",
+        ("found", (3, 5, 6, 7, 9, 11, 13, 14), (0.36343617594590116, 0.6914056715964546, False),
+         (15, 128, 0, 284, 0, 1099), None)),
+    "planted-5-8-3": (lambda: gen_planted(5, 8, seed=3)[0], 0.1, 0.3, 3, "",
+        ("found", (1, 3, 5, 7, 9, 12, 13, 14), (0.3219508838048785, 0.6078498355932993, False),
+         (15, 128, 0, 212, 0, 901), None)),
+    "planted-8-16-1": (lambda: gen_planted(8, 16, seed=1)[0], 0.1, 0.3, 1, "",
+        ("found", (0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 18, 19, 21, 23, 25, 26, 27),
+         (0.33480153625688525, 0.7228517374347013, False), (28, 116, 0, 13769, 0, 28192), None)),
+    "random-4-14-not-found": (lambda: gen_random(4, 14, seed=0), 0.02, 0.3, 0, "",
+        ("not-found", None, None, (14, 20, 0, 1125, 0, 2297), [(1, 4, 8, 9, 11),
+         (1, 4, 8, 9, 11, 13)])),
+    "random-5-12-not-found": (lambda: gen_random(5, 12, seed=1), 0.2, 0.3, 1, "",
+        ("not-found", None, None, (12, 30, 0, 404, 0, 861), [(1, 3, 4, 5, 10),
+         (1, 3, 4, 5, 10, 11)])),
+    "drawn-3-16-mu1": (lambda: gen_random(3, 16, seed=2), 0.05, 0.3, 2, "mu1",
+        ("found", (2, 3, 4, 6, 7, 8, 10, 12), (0.3530614871225175, 0.6612329707728872, False),
+         (13, 33, 0, 323, 0, 744), None)),
+    "drawn-3-14-mu1": (lambda: gen_random(3, 14, seed=3), 0.1, 0.3, 3, "mu1",
+        ("found", (2, 7, 8, 9, 11), (0.33413200806054244, 0.5386042132770731, False),
+         (12, 128, 0, 132, 0, 670), None)),
+    "drawn-3-40-mu1": (lambda: gen_random(3, 40, seed=3), 0.1, 0.3, 3, "mu1",
+        ("found", (3, 4, 5, 6, 8, 9, 10, 11, 12, 15, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27,
+                   28, 29),
+         (0.3135702087596187, 0.7096662761255905, False), (30, 126, 0, 755, 0, 2890), None)),
+    "filtered-2-12-found": (lambda: gen_random(2, 12, seed=1), 0.1, 0.3, 1, "mu1n3",
+        ("found", (3, 5, 7, 9), (0.3203485786060463, 0.5112134712179833, False),
+         (10, 11, 80, 99, 0, 382), None)),
+    "filtered-3-8-not-found": (lambda: gen_random(3, 8, seed=0), 0.1, 0.3, 0, "mu1n3",
+        ("not-found", None, None, (8, 8, 20, 58, 0, 179), [(3, 4, 6), (3, 4, 6, 7)])),
+    "filtered-3-14-not-found": (lambda: gen_random(3, 14, seed=0), 0.1, 0.3, 0, "mu1n3",
+        ("not-found", None, None, (14, 8, 602, 425, 0, 2063), [(4, 7, 12), (4, 7, 12, 13)])),
+    "filtered-4-14-not-found": (lambda: gen_random(4, 14, seed=1), 0.1, 0.3, 1, "mu1n3",
+        ("not-found", None, None, (14, 7, 425, 361, 0, 1577), [(9, 11, 12), (9, 11, 12, 13)])),
+    "node-limit-drawn": (lambda: gen_random(3, 40, seed=3), 0.1, 0.3, 3, "mu1-limit",
+        "solve exceeded node limit 1000"),
+    "node-limit-certified": (lambda: gen_planted(5, 8, seed=0)[0], 0.1, 0.3, 0, "limit",
+        "solve exceeded node limit 40"),
+    "band-edge-3-8-0": (lambda: gen_random(3, 8, seed=0), 0.1, 0.24008947704242267, 0, "",
+        ("not-found", None, None, (8, 10, 0, 70, 0, 161), [])),
+    "band-edge-3-8-1": (lambda: gen_random(3, 8, seed=1), 0.1, 0.5138532910313535, 1, "",
+        ("not-found", None, None, (8, 4, 0, 84, 0, 169), [])),
+    "band-edge-3-8-4": (lambda: gen_random(3, 8, seed=4), 0.1, 0.6079803893056661, 4, "",
+        ("found", (0, 3, 4), (0.21587758722943695, 0.8984055637759137, False),
+         (5, 8, 0, 8, 0, 29), None)),
+}
+
+
+def _pinned_kwargs(inst, c, kind):
+    mu1 = _with(inst, c, 0.3, mu=1.0)
+    return {"": {}, "mu1": dict(params_override=mu1),
+            "mu1n3": dict(params_override=dataclasses.replace(mu1, n=3)),
+            "mu1-limit": dict(params_override=mu1, node_limit=1000),
+            "limit": dict(node_limit=40)}[kind]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_solve_matches_pinned_outcome(case):
+    build, c, epsilon, seed, kind, want = PINNED[case]
+    inst = build()
+    kwargs = dict(_pinned_kwargs(inst, c, kind), collect_subsets=True)
+    if isinstance(want, str):
+        with pytest.raises(TooLarge, match=f"^{want}$"):
+            solve(inst, c, epsilon, seed, **kwargs)
+        return
+    status, subset, report, stats, final = want
+    out = solve(inst, c, epsilon, seed, **kwargs)
+    lo, hi, eq1 = report or (None, None, None)
+    assert out.to_dict() == {
+        "status": status, "subset": None if subset is None else list(subset),
+        "lambda_min": lo, "lambda_max": hi,
+        "stats": dict(zip((f.name for f in dataclasses.fields(SolveStats)), stats))}
+    assert out.report == (report and SubsetReport(subset, lo, hi, eq1, True, c, epsilon))
+    assert out.final_subsets == final
+
+
+# --- the order contract ----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]), st.integers(16, 28), st.integers(0, 2**16),
+       st.sampled_from([0.15, 0.2, 0.25]), st.integers(3, 5))
+def test_band_search_yields_rows_in_lex_order(d, m, seed, ca, n):
+    # The first gate hit in block order must be the lex-least hit of its
+    # level, so every search's depth-i rows come in strictly increasing lex
+    # order across blocks, here on the sampled path (mu = 1), with a band
+    # near its widest (c sqrt(alpha) = ca), skips and the size filter.
+    inst = gen_random(d, m, seed=seed)
+    params = _with(inst, ca / math.sqrt(inst.alpha), 0.3, mu=1.0, n=n)
+    searches, skipped, real = [], [0], solver_module.band_search
+
+    def recording(outers, root, band, eta, drop, split, lex):
+        assert lex
+
+        def split_seen(k, block):
+            excl, fresh = split(k, block)
+            skipped[0] += 0 if excl is None else int(np.count_nonzero(~excl))
+            return excl, fresh
+
+        rows = []
+        searches.append(rows)
+        for block in real(outers, root, band, eta, drop, split_seen, lex=lex):
+            rows.extend(map(tuple, block[1].tolist()))
+            yield block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "band_search", recording)
+        stats = solve(inst, params.c, 0.3, seed, params_override=params).stats
+    assume(skipped[0] and stats.size_filtered)
+    for rows in searches:
+        assert all(a < b for a, b in zip(rows, rows[1:]))
