@@ -26,12 +26,10 @@ from .instance import (
 from .linalg import (
     SymMatrix,
     distance_half,
-    eig_extremes,
     eig_extremes_stack,
     inv_sqrt,
     psd_sandwich_check,
     spd_solve,
-    spectral_distance_half,
 )
 from .oracle import OracleResult, branch_bound_w, brute_force_w, with_threshold
 from .reduction import (
@@ -62,8 +60,8 @@ __all__ = [
     "Instance", "SubsetReport", "check_subset", "gen_planted", "gen_random",
     "instance_from_json", "instance_to_json", "load_instance", "load_subset",
     "save_instance", "save_subset", "subset_distance", "validate",
-    "SymMatrix", "distance_half", "eig_extremes", "eig_extremes_stack", "inv_sqrt",
-    "psd_sandwich_check", "spd_solve", "spectral_distance_half",
+    "SymMatrix", "distance_half", "eig_extremes_stack", "inv_sqrt", "psd_sandwich_check",
+    "spd_solve",
     "OracleResult", "branch_bound_w", "brute_force_w", "with_threshold",
     "CnfFormula", "F_SAT3", "F_UNSAT4", "NotDecodable", "ReductionLayout",
     "Violation", "assignment_to_subset", "emit_dimacs", "find_violation",

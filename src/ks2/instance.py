@@ -16,7 +16,7 @@ import numpy as np
 
 from . import prng
 from .errors import BadSubset, DegenerateSample, EmptyInstance, KsError, NotIsotropic
-from .linalg import SymMatrix, eig_extremes, eig_extremes_stack, inv_sqrt, spectral_distance_half
+from .linalg import SymMatrix, distance_half, eig_extremes_stack, inv_sqrt
 
 DEFAULT_ISO_TOL = 1e-8
 
@@ -133,7 +133,7 @@ def check_subset(inst: Instance, subset: Sequence[int], c: float, epsilon: float
         raise BadSubset(f"subset indices out of range 0..{m - 1}")
     if len(set(idx)) != len(idx):
         raise BadSubset("subset contains duplicate indices")
-    lo, hi = eig_extremes(inst.gram(idx))
+    lo, hi = map(float, eig_extremes_stack(inst.gram(idx).a))
     ca = c * np.sqrt(inst.alpha)
     eq1 = bool(0.5 - ca <= lo and hi <= 0.5 + ca)
     eq2 = bool((1.0 - epsilon) * (0.5 - ca) <= lo and hi <= (1.0 + epsilon) * (0.5 + ca))
@@ -142,7 +142,7 @@ def check_subset(inst: Instance, subset: Sequence[int], c: float, epsilon: float
 
 def subset_distance(inst: Instance, subset: Sequence[int]) -> float:
     """Worst-direction deviation of A_S from I/2."""
-    return spectral_distance_half(inst.gram(list(subset)))
+    return float(distance_half(*eig_extremes_stack(inst.gram(list(subset)).a)))
 
 
 # --- generators ---------------------------------------------------------------

@@ -81,10 +81,6 @@ class SymMatrix:
     def identity(d: int) -> "SymMatrix":
         return SymMatrix.from_array(np.eye(d))
 
-    @staticmethod
-    def diagonal(values) -> "SymMatrix":
-        return SymMatrix.from_array(np.diag(np.asarray(values, dtype=np.float64)))
-
     def add_outer(self, v: np.ndarray, weight: float = 1.0) -> "SymMatrix":
         """Return self + weight * v v^T (exactly symmetric by construction).
 
@@ -118,12 +114,6 @@ def rounding_eta(vectors: np.ndarray) -> float:
 def distance_half(lo, hi):
     """||M - I/2|| = max(lambda_max - 1/2, 1/2 - lambda_min) from M's extremes, elementwise."""
     return np.maximum(hi - 0.5, 0.5 - lo)
-
-
-def eig_extremes(m: SymMatrix) -> tuple[float, float]:
-    """Smallest and largest eigenvalues of a symmetric matrix."""
-    lo, hi = eig_extremes_stack(m.a)
-    return float(lo), float(hi)
 
 
 def spd_solve(m: SymMatrix, shift: float, v: np.ndarray) -> np.ndarray:
@@ -197,11 +187,3 @@ def psd_sandwich_check(a: SymMatrix, b: SymMatrix, mu: float, delta: float) -> b
     sides = np.array([b.a - (1.0 - mu) * a.a + eye, (1.0 + mu) * a.a + eye - b.a])
     lows = eig_extremes_stack(0.5 * (sides + sides.transpose(0, 2, 1)))[0]
     return bool((lows >= -PSD_SLACK).all())
-
-
-def spectral_distance_half(m: SymMatrix) -> float:
-    """||M - I/2|| = max(lambda_max - 1/2, 1/2 - lambda_min).
-
-    This is the worst-direction deviation of the quadratic form from 1/2.
-    """
-    return float(distance_half(*eig_extremes_stack(m.a)))

@@ -45,8 +45,8 @@ output and always reads 0.
 Completion-bound pruning.  Search i keeps a node S at depth k while the
 computed lambda_max(P + v_i v_i^T) <= hi_bound + 2 eta and lambda_min(P +
 v_k v_k^T + ... + v_i v_i^T) >= lo_bound - 2 eta, eta as in ks2.oracle's
-Rounding (rounding_slack is 2 eta): band [lo_bound - 2 eta, hi_bound +
-2 eta], width the least positive double, as x < 5e-324 exactly when x <= 0
+Rounding: band [lo_bound - 2 eta, hi_bound + 2 eta], width the least
+positive double, as x < 5e-324 exactly when x <= 0
 (Bounds as intervals, ks2.oracle docstring).  No gate hit is lost.  Every
 set that search i gates below S is some G = S' + {i} with S <= S' <= S +
 {k, ..., i-1}, so A_{S+{i}} <= A_G <= A_{S+{k,...,i}}, and every computed
@@ -195,12 +195,6 @@ class SolveStats:
         return asdict(self)
 
 
-def rounding_slack(inst: Instance) -> float:
-    """2 eta: the most by which computed eigenvalues of the Grams of two nested
-    subsets can contradict the Loewner order (module docstring)."""
-    return 2 * rounding_eta(inst.vectors)
-
-
 def saturation_margin(inst: Instance, params: SolverParams) -> float:
     """b (1 + mu) min_i ||v_i||^2 / (lambda_max(A_all) + lam) over its proven
     rounding factor 1 + 4 sigma (Certified saturation, module docstring).
@@ -268,8 +262,8 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
     ca = c * math.sqrt(inst.alpha)
     lo_bound = (1.0 - epsilon) * (0.5 - ca)
     hi_bound = (1.0 + epsilon) * (0.5 + ca)
-    slack = rounding_slack(inst)
-    band = [lo_bound - slack, hi_bound + slack, 5e-324]  # x < 5e-324 exactly when x <= 0
+    eta = rounding_eta(inst.vectors)
+    band = [lo_bound - 2 * eta, hi_bound + 2 * eta, 5e-324]  # x < 5e-324 exactly when x <= 0
     root = new_state(d, params.mu, params.delta)  # checks mu and delta on either path
     budget(d, params.mu)  # d = 1 has no sampling budget: raise before any search
     certified = saturation_margin(inst, params) >= 1.0
@@ -315,7 +309,7 @@ def solve(inst: Instance, c: float, epsilon: float, seed: int,
             ledger[kept] = fold_ledger_hashes(ledger[kept], k, weights)
             return kept, (b, block[3] + kept, ledger)
 
-        return band_search(outers[:i + 1], roots, band, slack / 2, drop, split, lex=True)
+        return band_search(outers[:i + 1], roots, band, eta, drop, split, lex=True)
 
     for i in range(m):
         stats.levels_processed += 1

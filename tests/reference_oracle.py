@@ -33,7 +33,7 @@ import numpy as np
 from ks2 import oracle as oracle_mod
 from ks2.errors import TooLarge
 from ks2.instance import Instance, subset_distance
-from ks2.linalg import distance_half, eig_extremes_stack, spectral_distance_half
+from ks2.linalg import distance_half, eig_extremes_stack
 from ks2.oracle import OracleResult, _cut_permutations
 
 LOW_BITS = 14  # vectors in the low table: 2^14 matrices per chunk
@@ -85,7 +85,7 @@ def reference_brute_force_w(inst: Instance) -> OracleResult:
     m = inst.num_vectors
     best_w, best_t = np.inf, 0
     for t in range(1 << m):
-        w = spectral_distance_half(inst.gram(bits(t, m)))
+        w = subset_distance(inst, bits(t, m))
         if w < best_w:
             best_w, best_t = w, t
     return _evaluated_all(best_w, bits(best_t, m), m)

@@ -18,7 +18,6 @@ from ks2 import (
     validate,
 )
 from ks2.errors import BadSubset, DegenerateSample, EmptyInstance, NotIsotropic
-from ks2.linalg import spectral_distance_half
 from ks2.reduction import assignment_to_subset
 
 from conftest import random_subset
@@ -107,7 +106,7 @@ class TestCheckSubset:
         s = random_subset(inst.num_vectors, seed, tag=6)
         c = 0.05 + (seed % 7) * 0.1
         rep = check_subset(inst, s, c, 0.0)
-        w = spectral_distance_half(inst.gram(s))
+        w = subset_distance(inst, s)
         threshold = c * np.sqrt(inst.alpha)
         if abs(w - threshold) > 1e-9:  # exact flags may differ inside the borderline sliver
             assert rep.satisfies_eq1 == (w <= threshold)

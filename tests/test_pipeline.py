@@ -232,6 +232,40 @@ def test_sparsifier_layers_script_writes_bench(tmp_path):
         rec["against"]["wall_median_s"] * 1e6 / 4000)
 
 
+@pytest.mark.parametrize("script", ["oracle_layers.py", "solver_layers.py",
+                                    "sparsifier_layers.py"])
+def test_layer_script_rejects_bad_flags(tmp_path, script):
+    # The shared command line (scripts/layers.py) refuses each of these
+    # before it times anything or writes the report.
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    out = tmp_path / "BENCH.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for flags in (["--reps", "0"], ["--rounds", "0"], ["--against", str(tmp_path)],
+                  ["--instances", "bogus"]):
+        proc = subprocess.run([sys.executable, str(path), *flags, "--out", str(out)],
+                              capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert "error" in proc.stderr and not out.exists()
+
+
+@pytest.mark.parametrize("script, args, header", [
+    ("solver_completeness.py", ["--d", "3", "--seeds", "2"],
+     ["d", "m", "found", "rate", "1-2/d", "sec/run", "peak", "pruned", "margin", "certified"]),
+    ("sparsifier_sweep.py", ["--m", "60", "--seeds", "2", "--mu", "0.5", "--delta", "0.05"],
+     ["mu", "delta", "sandwich", "min#", "mean#", "max#"]),
+])
+def test_experiment_script_runs_from_checkout(tmp_path, script, args, header):
+    # No PYTHONPATH and a foreign working directory, as for certify_fixtures.py:
+    # a header row, then one row for the one size or (mu, delta) pair asked for.
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(path), *args], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == header and len(lines) == 2
+
+
 def test_line_count_script_counts_docstrings_by_ast(tmp_path):
     # Module, class and function docstrings are left out wherever they sit
     # and however many lines they span; other strings, comments and blank

@@ -13,8 +13,8 @@ from ks2 import solver as solver_module
 from ks2.errors import (BadParams, DegenerateDimension, InfeasibleParameters, NotIsotropic,
                         TooLarge)
 from ks2.instance import SubsetReport
-from ks2.linalg import eig_extremes_stack
-from ks2.solver import SolveStats, derive_params, rounding_slack, saturation_margin, solve
+from ks2.linalg import eig_extremes_stack, rounding_eta
+from ks2.solver import SolveStats, derive_params, saturation_margin, solve
 
 from conftest import bound_survivors, gram_families, stress_instance
 from reference_solver import reference_solve
@@ -169,7 +169,7 @@ def test_prune_slack_is_sound(vectors):
     # table hold the subset S + (T shifted by k).
     inst = Instance(vectors)
     m, d = vectors.shape
-    slack = rounding_slack(inst)
+    slack = 2 * rounding_eta(inst.vectors)
     outers = vectors[:, :, None] * vectors[:, None, :]
     sums = np.zeros((2**m, d, d))
     for t in range(m):  # the sums of the subsets with top index t
