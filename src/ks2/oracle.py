@@ -450,7 +450,8 @@ def _bb_search(inst: Instance, node_limit: Optional[int]
     e, j = np.nonzero(np.diff(reach, axis=1, append=m))
     depth = reach[e, j] + 1
     weights = _lex_weights(perms[e], j + 1, m)
-    cuts = {int(t): np.ascontiguousarray(weights[:, :, depth == t]) for t in np.unique(depth)}
+    # A set, not np.unique: np.unique loads numpy.ma at its first call.
+    cuts = {t: np.ascontiguousarray(weights[:, :, depth == t]) for t in set(depth.tolist())}
     leaves = nodes = cut = 0
 
     def drop(i, block):

@@ -25,13 +25,16 @@ def ks_cmd():
     return [sys.executable, "-m", "ks2.cli"]
 
 
-def run_ks(*args):
+def child_env():
     # The child must import the ks2 this process imported, also when that
     # comes from the pytest pythonpath setting rather than an install.
     src = str(Path(ks2.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(ks_cmd() + list(args), capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def run_ks(*args):
+    proc = subprocess.run(ks_cmd() + list(args), capture_output=True, text=True, env=child_env())
     out = json.loads(proc.stdout) if proc.stdout.strip() else None
     return proc.returncode, out, proc.stderr
 
@@ -292,3 +295,38 @@ def test_line_count_script_counts_docstrings_by_ast(tmp_path):
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert rows == [["module", "lines", "code"], ["a.py", "13", "8"], ["b.py", "4", "4"],
                     ["total", "17", "12"]]
+
+
+IMPORT_BUDGET_CHILD = """
+import sys
+import numpy as np
+from ks2 import (F_SAT3, SymMatrix, branch_bound_w, brute_force_w, check_subset, derive_params,
+                 find_violation, gen_planted, ks_form_to_instance, new_state, observe,
+                 psd_sandwich_check, solve)
+from ks2.solver import saturation_margin
+
+inst, _ = gen_planted(3, 4, seed=0)
+assert saturation_margin(inst, derive_params(inst, 0.1, 0.3)) >= 1.0  # the certified path
+out = solve(inst, 0.1, 0.3, seed=0)
+assert out.found, out
+sat3, layout = ks_form_to_instance(F_SAT3)
+res = branch_bound_w(sat3)
+assert find_violation(layout, sat3, res.argmin_subset) is None
+brute_force_w(inst)
+check_subset(inst, out.subset, 0.1, 0.3)
+eye = SymMatrix.identity(3)
+assert psd_sandwich_check(eye, eye, 0.5, 0.05)
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
+observe(new_state(3, 0.5, 0.05), 0, np.array([0.5, 0.0, 0.0]), 0.5)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_exact_paths_load_neither_scipy_nor_numpy_ma():
+    # A fresh interpreter: this process already holds SciPy through the
+    # reference sparsifier.  Only the sampled step's shifted solve needs it.
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_CHILD], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"], proc.stdout
